@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -184,15 +185,19 @@ def write_metrics_csv(path, series, radii):
     header = ["t", "v_func", "variance", "w2_sq", "consensus_dist"]
     header += [f"ball_mass_{_fmt(float(r))}" for r in radii]
     header.append("moment4")
+    _write_csv(path, header, (
+        [rec.t, rec.v_func, rec.variance, rec.w2_sq, rec.consensus_dist,
+         *(rec.ball_mass[float(r)] for r in radii), rec.moment4]
+        for rec in series.records
+    ))
+    return path
+
+
+def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for rec in series.records:
-            row = [rec.t, rec.v_func, rec.variance, rec.w2_sq, rec.consensus_dist]
-            row += [rec.ball_mass[float(r)] for r in radii]
-            row.append(rec.moment4)
-            writer.writerow(_fmt(x) for x in row)
-    return path
+        writer.writerows([_fmt(x) for x in row] for row in rows)
 
 
 def read_metrics_csv(path):
@@ -229,10 +234,9 @@ def run_simulation(cfg):
     try:
         result = engine.simulate(cfg.init, cfg.objective, cfg.params, cfg.recording)
     except SimulationError as err:
-        partial = getattr(err, "partial_series", None)
-        if partial is not None:
+        if err.partial_series is not None:
             write_metrics_csv(
-                cfg.outputs / "metrics.csv", partial, cfg.recording.ball_radii
+                cfg.outputs / "metrics.csv", err.partial_series, cfg.recording.ball_radii
             )
         raise
     series = result.series
@@ -357,15 +361,11 @@ def preset_fig_trajectories(out_dir, runs=100, n=4000, seed=1, steps=600, dt=0.0
     )
 
     def one_run(r):
-        run_seed = seed + r
-        base = engine.sample_initial(dist, n, 2, run_seed)
-        ens = engine.Ensemble(np.vstack([base.positions, tracked]), 0.0)
-        noise = engine.NoiseSource(run_seed)
+        base = engine.sample_initial(dist, n, 2, seed + r).positions
+        start = engine.Ensemble(np.vstack([base, tracked]))
         traj = np.empty((steps + 1, len(tracked), 2))
-        traj[0] = ens.positions[n:]
-        for k in range(steps):
-            ens = engine.cbo_step(ens, obj, params, noise)
-            traj[k + 1] = ens.positions[n:]
+        for k, x, _, _ in engine.states(start, obj, params, engine.NoiseSource(seed + r)):
+            traj[k] = x[n:]
         return traj
 
     trajs = np.stack(thread_map(one_run, range(runs)))   # (runs, K+1, 3, 2)
@@ -373,25 +373,15 @@ def preset_fig_trajectories(out_dir, runs=100, n=4000, seed=1, steps=600, dt=0.0
     times = np.arange(steps + 1) * dt
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "trajectories.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["run", "agent", "t", "x", "y"])
-        for r in range(runs):
-            for a in range(len(tracked)):
-                for k in range(steps + 1):
-                    writer.writerow(
-                        [r, a, _fmt(float(times[k])),
-                         _fmt(float(trajs[r, k, a, 0])), _fmt(float(trajs[r, k, a, 1]))]
-                    )
-    with open(out_dir / "mean_trajectories.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["agent", "t", "x", "y"])
-        for a in range(len(tracked)):
-            for k in range(steps + 1):
-                writer.writerow(
-                    [a, _fmt(float(times[k])),
-                     _fmt(float(mean_traj[k, a, 0])), _fmt(float(mean_traj[k, a, 1]))]
-                )
+    agents, ks = range(len(tracked)), range(steps + 1)
+    _write_csv(out_dir / "trajectories.csv", ["run", "agent", "t", "x", "y"], (
+        [r, a, float(times[k]), float(trajs[r, k, a, 0]), float(trajs[r, k, a, 1])]
+        for r, a, k in itertools.product(range(runs), agents, ks)
+    ))
+    _write_csv(out_dir / "mean_trajectories.csv", ["agent", "t", "x", "y"], (
+        [a, float(times[k]), float(mean_traj[k, a, 0]), float(mean_traj[k, a, 1])]
+        for a, k in itertools.product(agents, ks)
+    ))
 
     vstar = np.zeros(2)
     summary = {
@@ -432,14 +422,12 @@ def run_mfa_sweep(raw, out_dir):
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n", "err_sup", "err_sup_conditional", "exceed_fraction", "seeds"])
-        for run in result.runs:
-            writer.writerow(
-                [run.n, _fmt(run.err_sup), _fmt(run.err_sup_conditional),
-                 _fmt(run.exceed_fraction), len(run.seeds)]
-            )
+    _write_csv(
+        out_dir / "sweep.csv",
+        ["n", "err_sup", "err_sup_conditional", "exceed_fraction", "seeds"],
+        ([run.n, run.err_sup, run.err_sup_conditional, run.exceed_fraction, len(run.seeds)]
+         for run in result.runs),
+    )
     write_summary(
         out_dir / "summary.txt",
         {

@@ -1,5 +1,6 @@
 """Particle dynamics: ensemble state, stabilized consensus point, one
-explicit Euler-Maruyama step, and the full simulation loop.
+explicit Euler-Maruyama step, the state iterator every run is driven by,
+and the simulation with metrics recording.
 
 The update for agent i with step size dt reads
 
@@ -23,15 +24,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, NumericDomainError, SimulationError
-from .metrics import (
-    MetricsRecord,
-    MetricsSeries,
-    RecordingPlan,
-    ball_mass,
-    moment4_stat,
-    v_functional,
-    variance,
-)
+from .metrics import MetricsSeries, RecordingPlan, snapshot
 
 __all__ = [
     "ConstOne",
@@ -48,6 +41,7 @@ __all__ = [
     "consensus_point",
     "h_eval",
     "cbo_step",
+    "states",
     "simulate",
     "SimulationResult",
 ]
@@ -160,10 +154,6 @@ class Ensemble:
             )
 
     @property
-    def n(self):
-        return self.positions.shape[0]
-
-    @property
     def dim(self):
         return self.positions.shape[1]
 
@@ -247,14 +237,17 @@ def sample_initial(dist, n, dim, seed, stream=0):
 # consensus point and one step
 
 
-def _energies(obj, x):
+def _energies(obj, x, step=None):
     # overflow to inf is caught by the finiteness guard below
     with np.errstate(over="ignore", invalid="ignore"):
         e = np.asarray(obj.eval(x), dtype=float)
     bad = ~np.isfinite(e)
     if bad.any():
         i = int(np.argmax(bad))
-        raise NumericDomainError(f"non-finite energy at particle {i}", particle=i)
+        where = "" if step is None else f" at step {step}"
+        raise NumericDomainError(
+            f"non-finite energy at particle {i}{where}", step=step, particle=i
+        )
     return e
 
 
@@ -277,24 +270,24 @@ def consensus_point(ens, obj, alpha):
     return _weighted_consensus(x, _energies(obj, x), float(alpha))
 
 
-def cbo_step(ens, obj, params, noise=None, increments=None, consensus=None):
-    """One explicit Euler-Maruyama step from the ensemble's snapshot.
+def cbo_step(ens, obj, params, noise=None, increments=None, consensus=None,
+             energies=None, step=0):
+    """One explicit Euler-Maruyama step from state ``step`` to ``step + 1``.
 
     The consensus point is computed once from the input state (or pinned via
-    ``consensus``); all particles then update independently.  Increments can
-    be supplied explicitly (shape (n, dim), already scaled to variance dt)
-    for coupled runs, otherwise they come from ``noise`` at this step index.
+    ``consensus``); all particles then update independently.  ``energies``
+    of the input state are reused when given.  Increments can be supplied
+    explicitly (shape (n, dim), already scaled to variance dt) for coupled
+    runs, otherwise they come from ``noise`` at this step index.
     """
     x = ens.positions
     n, d = x.shape
     if obj.dim != d:
         raise ConfigError(f"objective dim {obj.dim} != ensemble dim {d}")
-    k = int(round(ens.time / params.dt))
 
     const_h = isinstance(params.h_variant, ConstOne)
-    energies = None
-    if consensus is None or not const_h:
-        energies = _energies(obj, x)
+    if energies is None and (consensus is None or not const_h):
+        energies = _energies(obj, x, step)
     if consensus is None:
         c = _weighted_consensus(x, energies, params.alpha)
     else:
@@ -308,13 +301,15 @@ def cbo_step(ens, obj, params, noise=None, increments=None, consensus=None):
     if not const_h:
         e_c = float(obj.eval(c))
         if not math.isfinite(e_c):
-            raise NumericDomainError("non-finite energy at the consensus point")
+            raise NumericDomainError(
+                f"non-finite energy at the consensus point at step {step}", step=step
+            )
         drift *= h_eval(params.h_variant, energies - e_c)[:, None]
 
     if increments is None:
         if noise is None:
             raise ConfigError("cbo_step needs a NoiseSource or explicit increments")
-        increments = noise.increments(k, n, d, params.dt)
+        increments = noise.increments(step, n, d, params.dt)
     else:
         increments = np.asarray(increments, dtype=float)
         if increments.shape != (n, d):
@@ -327,8 +322,34 @@ def cbo_step(ens, obj, params, noise=None, increments=None, consensus=None):
         dist = np.sqrt((diff * diff).sum(axis=1))
         new = x - drift + params.sigma * dist[:, None] * increments
     if not np.isfinite(new).all():
-        raise DivergenceError(f"non-finite coordinates after step {k}", step=k)
-    return Ensemble(new, time=(k + 1) * params.dt)
+        i = int(np.argmin(np.isfinite(new).all(axis=1)))
+        raise DivergenceError(
+            f"non-finite coordinates of particle {i} after step {step}",
+            step=step, particle=i,
+        )
+    return Ensemble(new, time=(step + 1) * params.dt)
+
+
+def states(ens, obj, params, noise, consensus=None):
+    """Yield ``(k, positions, energies, consensus)`` for the states k = 0..steps
+    reached from ``ens``, evaluating each state's energies and consensus once
+    and reusing them in the ``cbo_step`` to state k + 1 (increments from
+    ``noise.increments(k, n, dim, dt)``).  A pinned ``consensus`` is indexed
+    by k; with ``ConstOne`` it needs no energies and None is yielded.
+    Yielded arrays are shared, not copies: do not modify them."""
+    if obj.dim != ens.dim:
+        raise ConfigError(f"objective dim {obj.dim} != ensemble dim {ens.dim}")
+    n, d = ens.positions.shape
+    need_energies = consensus is None or not isinstance(params.h_variant, ConstOne)
+    for k in range(params.steps + 1):
+        if k:
+            # increments passed inline: no local keeps them alive past the step
+            ens = cbo_step(ens, obj, params, consensus=c, energies=e, step=k - 1,
+                           increments=noise.increments(k - 1, n, d, params.dt))
+        x = ens.positions
+        e = _energies(obj, x, k) if need_energies else None
+        c = _weighted_consensus(x, e, params.alpha) if consensus is None else consensus[k]
+        yield k, x, e, c
 
 
 # ---------------------------------------------------------------------------
@@ -339,28 +360,6 @@ def cbo_step(ens, obj, params, noise=None, increments=None, consensus=None):
 class SimulationResult:
     series: MetricsSeries
     final: Ensemble
-
-
-def _snapshot(ens, obj, alpha, plan):
-    vstar = obj.minimizer
-    if vstar is None:
-        v = w2 = cdist = math.nan
-        masses = {}
-    else:
-        v = v_functional(ens, vstar)
-        w2 = 2.0 * v
-        c = consensus_point(ens, obj, alpha)
-        cdist = float(np.linalg.norm(c - vstar))
-        masses = {float(r): ball_mass(ens, vstar, r) for r in plan.ball_radii}
-    return MetricsRecord(
-        t=ens.time,
-        v_func=v,
-        variance=variance(ens),
-        w2_sq=w2,
-        consensus_dist=cdist,
-        ball_mass=masses,
-        moment4=moment4_stat(ens),
-    )
 
 
 def config_digest(dist, obj, params, plan):
@@ -383,26 +382,27 @@ def simulate(dist, obj, params, record=RecordingPlan(), stream=0):
     Records the t = 0 state and then every ``record.stride`` steps.  When the
     objective has a known minimizer, the squared distance of the final
     ensemble mean to it is reported as ``endpoint_error``.  Fully
-    deterministic given (config, seed); on divergence the partial series is
-    attached to the raised error.
+    deterministic given (config, seed); on a failure after the first record
+    the partial series is attached to the raised error.
     """
     if obj.dim != params.dim:
         raise ConfigError(f"objective dim {obj.dim} != params dim {params.dim}")
     digest = config_digest(dist, obj, params, record)
-    ens = sample_initial(dist, params.n_particles, params.dim, params.seed, stream)
-    noise = NoiseSource(params.seed, stream)
-    records = [_snapshot(ens, obj, params.alpha, record)]
+    # no reference to state 0 outlives the iterator's own
+    run = states(sample_initial(dist, params.n_particles, params.dim, params.seed, stream),
+                 obj, params, NoiseSource(params.seed, stream))
+    records = []
     try:
-        for k in range(params.steps):
-            ens = cbo_step(ens, obj, params, noise)
-            if (k + 1) % record.stride == 0:
-                records.append(_snapshot(ens, obj, params.alpha, record))
+        for k, x, _, c in run:
+            if k % record.stride == 0:
+                records.append(snapshot(k * params.dt, x, obj.minimizer, c, record.ball_radii))
     except SimulationError as err:
-        err.partial_series = MetricsSeries(records, None, digest)
+        if records:
+            err.partial_series = MetricsSeries(records, None, digest)
         raise
     endpoint = None
     if obj.minimizer is not None:
-        gap = ens.positions.mean(axis=0) - obj.minimizer
+        gap = x.mean(axis=0) - obj.minimizer
         endpoint = float(np.dot(gap, gap))
     series = MetricsSeries(records, endpoint, digest)
-    return SimulationResult(series=series, final=ens)
+    return SimulationResult(series=series, final=Ensemble(x, time=k * params.dt))

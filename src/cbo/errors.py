@@ -22,24 +22,23 @@ class InvalidInputError(ConfigError):
 
 
 class SimulationError(CboError):
-    """A particle run left the numerically valid domain."""
+    """A particle run left the numerically valid domain; ``step`` and
+    ``particle`` locate the failure where known, ``partial_series`` holds the
+    metrics recorded before it."""
+
+    def __init__(self, message, step=None, particle=None, partial_series=None):
+        super().__init__(message)
+        self.step = step
+        self.particle = particle
+        self.partial_series = partial_series
 
 
 class NumericDomainError(SimulationError):
-    """Objective evaluated to a non-finite value; carries the particle index."""
-
-    def __init__(self, message, particle=None):
-        super().__init__(message)
-        self.particle = particle
+    """Objective evaluated to a non-finite value in state ``step``."""
 
 
 class DivergenceError(SimulationError):
-    """A step produced non-finite coordinates; carries the step index."""
-
-    def __init__(self, message, step=None, partial_series=None):
-        super().__init__(message)
-        self.step = step
-        self.partial_series = partial_series
+    """The step from state ``step`` produced non-finite coordinates."""
 
 
 class TheoryPreconditionError(CboError):

@@ -22,6 +22,7 @@ __all__ = [
     "variance",
     "ball_mass",
     "moment4_stat",
+    "snapshot",
     "fit_decay_rate",
     "default_fit_window",
 ]
@@ -38,6 +39,9 @@ class RecordingPlan:
     def __post_init__(self):
         if self.stride < 1:
             raise InvalidInputError(f"recording stride must be >= 1, got {self.stride}")
+        for r in self.ball_radii:
+            if not r > 0:
+                raise InvalidInputError(f"ball radius must be positive, got {r}")
 
 
 @dataclass(frozen=True)
@@ -124,6 +128,23 @@ def moment4_stat(ens, ens_bar=None):
                 )
             m = np.maximum(m, (y * y).sum(axis=1) ** 2)
         return float(np.mean(m))
+
+
+def snapshot(t, x, vstar, consensus, ball_radii):
+    """MetricsRecord of the positions ``x`` at time ``t`` with consensus
+    point ``consensus``.  ``x - v*`` and its row sums of squares are computed
+    once for V and every ball mass; without a minimizer (``vstar`` None) the
+    fields tied to it are NaN and there are no ball masses."""
+    x = _positions(x)
+    v = cdist = math.nan
+    masses = {}
+    if vstar is not None:
+        sq = np.square(x - vstar).sum(axis=1)
+        v = 0.5 * float(np.mean(sq))
+        cdist = float(np.linalg.norm(consensus - vstar))
+        dist = np.sqrt(sq)  # bitwise np.linalg.norm(x - vstar, axis=1): ties with r stay put
+        masses = {float(r): float(np.mean(dist <= r)) for r in ball_radii}
+    return MetricsRecord(t, v, variance(x), 2.0 * v, cdist, masses, moment4_stat(x))
 
 
 def fit_decay_rate(series, window):

@@ -14,6 +14,8 @@ bounded fourth-moment event).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -67,36 +69,29 @@ class ReferenceTrajectory:
 def reference_consensus_trajectory(dist, obj, params):
     """Run one large-N simulation and record the consensus point at every
     step (including t = 0); deterministic given the seed in ``params``."""
-    ens = engine.sample_initial(dist, params.n_particles, params.dim, params.seed)
-    noise = engine.NoiseSource(params.seed)
-    points = [engine.consensus_point(ens, obj, params.alpha)]
-    m4 = moment4_stat(ens)
-    for _ in range(params.steps):
-        ens = engine.cbo_step(ens, obj, params, noise)
-        points.append(engine.consensus_point(ens, obj, params.alpha))
-        m4 = max(m4, moment4_stat(ens))
+    run = engine.states(engine.sample_initial(dist, params.n_particles, params.dim, params.seed),
+                        obj, params, engine.NoiseSource(params.seed))
+    points, m4 = [], 0.0
+    for _, x, _, c in run:
+        points.append(c)
+        m4 = max(m4, moment4_stat(x))
     return ReferenceTrajectory(np.asarray(points), m4, params.n_particles)
 
 
-def _traj_points(ref_traj):
-    return ref_traj.points if isinstance(ref_traj, ReferenceTrajectory) else np.asarray(ref_traj)
-
-
 def _one_replication(dist, obj, params, points, seed):
-    n, d = params.n_particles, params.dim
-    init = engine.sample_initial(dist, n, d, seed)
-    sys_a = engine.Ensemble(init.positions.copy(), 0.0)
-    sys_b = engine.Ensemble(init.positions.copy(), 0.0)
-    noise = engine.NoiseSource(seed)
-    sup_gap = np.zeros(n)
-    sup_m4 = moment4_stat(sys_a, sys_b)
-    for k in range(params.steps):
-        inc = noise.increments(k, n, d, params.dt)
-        sys_a = engine.cbo_step(sys_a, obj, params, increments=inc)
-        sys_b = engine.cbo_step(sys_b, obj, params, increments=inc, consensus=points[k])
-        gap = sys_a.positions - sys_b.positions
+    init = engine.sample_initial(dist, params.n_particles, params.dim, seed)
+    # each step's increments are drawn once and handed to both systems
+    noise = SimpleNamespace(increments=lru_cache(maxsize=1)(engine.NoiseSource(seed).increments))
+    coupled = zip(
+        engine.states(init, obj, params, noise),
+        engine.states(init, obj, params, noise, consensus=points),
+    )
+    sup_gap = np.zeros(params.n_particles)
+    sup_m4 = 0.0
+    for (_, xa, _, _), (_, xb, _, _) in coupled:
+        gap = xa - xb
         np.maximum(sup_gap, (gap * gap).sum(axis=1), out=sup_gap)
-        sup_m4 = max(sup_m4, moment4_stat(sys_a, sys_b))
+        sup_m4 = max(sup_m4, moment4_stat(xa, xb))
     return sup_gap, sup_m4
 
 
@@ -109,7 +104,8 @@ def coupled_error(dist, obj, params, ref_traj, seeds, m_threshold):
     the coupled fourth-moment statistic exceeds ``m_threshold`` are counted
     in ``exceed_fraction`` and excluded from the conditional error.
     """
-    points = _traj_points(ref_traj)
+    is_ref = isinstance(ref_traj, ReferenceTrajectory)
+    points = ref_traj.points if is_ref else np.asarray(ref_traj)
     if len(points) != params.steps + 1:
         raise InvalidInputError(
             f"reference trajectory has {len(points)} entries, expected steps+1 = "
@@ -128,10 +124,9 @@ def coupled_error(dist, obj, params, ref_traj, seeds, m_threshold):
         err_cond = float("nan")
     else:
         err_cond = float(sups[~exceeds].mean(axis=0).max())
-    n_ref = ref_traj.n_ref if isinstance(ref_traj, ReferenceTrajectory) else 0
     return CouplingRun(
         n=params.n_particles,
-        n_ref=n_ref,
+        n_ref=ref_traj.n_ref if is_ref else 0,
         seeds=seeds,
         err_sup=err_sup,
         err_sup_conditional=err_cond,
@@ -194,11 +189,10 @@ def mfa_sweep(dist, obj, params, n_values, n_ref, seeds, m_factor=10.0):
         )
     ref = reference_consensus_trajectory(dist, obj, replace(params, n_particles=n_ref))
     m_threshold = m_factor * ref.moment4_sup
-    runs = thread_map(
-        lambda n: coupled_error(
-            dist, obj, replace(params, n_particles=n), ref, seeds, m_threshold
-        ),
-        n_values,
-    )
+    # one particle count at a time: coupled_error fans out over the seeds
+    runs = [
+        coupled_error(dist, obj, replace(params, n_particles=n), ref, seeds, m_threshold)
+        for n in n_values
+    ]
     slope = fit_loglog_slope(n_values, [run.err_sup for run in runs])
     return MfaSweepResult(runs=runs, slope=slope, m_threshold=m_threshold, reference=ref)

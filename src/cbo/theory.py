@@ -560,19 +560,14 @@ def mass_decay_audit(dist, obj, params, r, stride=1):
     if obj.minimizer is None:
         raise InvalidInputError("mass audit needs an objective with a minimizer")
     vstar = obj.minimizer
-    ens = engine.sample_initial(dist, params.n_particles, params.dim, params.seed)
-    noise = engine.NoiseSource(params.seed)
-    times = [0.0]
-    phi = [float(np.mean(mollifier(ens.positions, vstar, r)))]
-    cdists = [float(np.linalg.norm(engine.consensus_point(ens, obj, params.alpha) - vstar))]
-    for k in range(params.steps):
-        ens = engine.cbo_step(ens, obj, params, noise)
-        cdists.append(
-            float(np.linalg.norm(engine.consensus_point(ens, obj, params.alpha) - vstar))
-        )
-        if (k + 1) % stride == 0:
-            times.append(ens.time)
-            phi.append(float(np.mean(mollifier(ens.positions, vstar, r))))
+    run = engine.states(engine.sample_initial(dist, params.n_particles, params.dim, params.seed),
+                        obj, params, engine.NoiseSource(params.seed))
+    times, phi, cdists = [], [], []
+    for k, x, _, c in run:
+        cdists.append(float(np.linalg.norm(c - vstar)))
+        if k % stride == 0:
+            times.append(k * params.dt)
+            phi.append(float(np.mean(mollifier(x, vstar, r))))
     b_sup = max(cdists)
     q = decay_rate_q(params.lam, params.sigma, params.dim, find_c(params.dim), r, b_sup)
     times = np.asarray(times)

@@ -146,6 +146,19 @@ class TestTheoryCommand:
         assert cli.main(["theory", write_config(tmp_path, cfg)]) == cli.EXIT_THEORY
 
 
+def mfa_smoke_config(out):
+    return {
+        "objective": {"name": "quadratic", "dim": 1},
+        "init": {"kind": "gaussian", "mean": [1.0], "variance": 1.0},
+        "params": {
+            "lambda": 1.0, "sigma": 0.5, "alpha": 2.0, "dt": 0.01,
+            "steps": 10, "n_particles": 20, "dim": 1, "seed": 5,
+        },
+        "mfa": {"n_values": [20, 40, 80], "n_ref": 800, "n_seeds": 4},
+        "outputs": str(out),
+    }
+
+
 class TestPresets:
     def test_fig_variance_smoke(self, tmp_path):
         out = tmp_path / "fv"
@@ -182,16 +195,7 @@ class TestPresets:
         assert code == cli.EXIT_CONFIG
 
     def test_mfa_sweep_smoke(self, tmp_path):
-        cfg = {
-            "objective": {"name": "quadratic", "dim": 1},
-            "init": {"kind": "gaussian", "mean": [1.0], "variance": 1.0},
-            "params": {
-                "lambda": 1.0, "sigma": 0.5, "alpha": 2.0, "dt": 0.01,
-                "steps": 10, "n_particles": 20, "dim": 1, "seed": 5,
-            },
-            "mfa": {"n_values": [20, 40, 80], "n_ref": 800, "n_seeds": 4},
-            "outputs": str(tmp_path / "sweep"),
-        }
+        cfg = mfa_smoke_config(tmp_path / "sweep")
         assert cli.main(["preset", "mfa-sweep", write_config(tmp_path, cfg)]) == 0
         lines = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
         assert lines[0] == "n,err_sup,err_sup_conditional,exceed_fraction,seeds"
@@ -231,6 +235,15 @@ class TestPresets:
             a = (out1 / f"mu{mu}" / "metrics.csv").read_bytes()
             b = (out2 / f"mu{mu}" / "metrics.csv").read_bytes()
             assert a == b
+
+        sweeps = {}
+        for threads in ("1", "3"):
+            monkeypatch.setenv("CBO_THREADS", threads)
+            out = tmp_path / f"sweep{threads}"
+            path = write_config(tmp_path, mfa_smoke_config(out), f"sweep{threads}.json")
+            assert cli.main(["preset", "mfa-sweep", path]) == 0
+            sweeps[threads] = [(out / f).read_bytes() for f in ("sweep.csv", "summary.txt")]
+        assert sweeps["1"] == sweeps["3"]
 
 
 class TestChordDeviation:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -236,6 +237,12 @@ class TestCboStep:
         with pytest.raises(DivergenceError) as err:
             engine.cbo_step(ens, quadratic1(), params, noise)
         assert err.value.step == 0
+        assert err.value.particle == 1
+        # the step index is the caller's, not derived from the ensemble time
+        with pytest.raises(DivergenceError) as err:
+            engine.cbo_step(ens, quadratic1(), params, noise, step=5)
+        assert (err.value.step, err.value.particle) == (5, 1)
+        assert "particle 1" in str(err.value) and "step 5" in str(err.value)
 
     def test_ramp_h_deactivates_drift_for_better_particles(self):
         # particle strictly better than the pinned consensus keeps its position
@@ -250,6 +257,109 @@ class TestCboStep:
         )
         assert out.positions[0, 0] == 0.1          # E(0.1) < E(2): drift off
         assert out.positions[1, 0] == pytest.approx(2.9)  # E(3) > E(2): drift on
+
+
+def counting(obj, calls, nan_from=None, particle=0):
+    """``obj`` whose evaluations append to ``calls``; from evaluation number
+    ``nan_from`` (0-based) on, ``particle`` gets a NaN energy."""
+
+    def eval_(v):
+        e = np.array(obj.eval(v), dtype=float)
+        if nan_from is not None and len(calls) >= nan_from:
+            e[particle] = math.nan
+        calls.append(1)
+        return e
+
+    return dataclasses.replace(obj, eval=eval_)
+
+
+def two_pass_records(dist, obj, params, plan):
+    """Reference: a plain loop of cbo_step, recording each state with the
+    public metrics and a separate consensus_point evaluation."""
+    ens = engine.sample_initial(dist, params.n_particles, params.dim, params.seed)
+    noise = engine.NoiseSource(params.seed)
+    vstar = obj.minimizer
+    records = []
+    for k in range(params.steps + 1):
+        if k:
+            ens = engine.cbo_step(ens, obj, params, noise, step=k - 1)
+        if k % plan.stride == 0:
+            c = engine.consensus_point(ens, obj, params.alpha)
+            v = metrics.v_functional(ens, vstar)
+            records.append(metrics.MetricsRecord(
+                t=ens.time, v_func=v, variance=metrics.variance(ens), w2_sq=2.0 * v,
+                consensus_dist=float(np.linalg.norm(c - vstar)),
+                ball_mass={float(r): metrics.ball_mass(ens, vstar, r) for r in plan.ball_radii},
+                moment4=metrics.moment4_stat(ens),
+            ))
+    return records, ens
+
+
+class TestStates:
+    P = dict(lam=1.0, sigma=0.5, alpha=1e15, dt=0.01, n_particles=300, dim=1, seed=4)
+    DIST = engine.GaussianIsotropic((1.0,), 0.8)
+
+    @pytest.mark.parametrize("stride", [1, 4])
+    def test_simulate_evaluates_once_per_state(self, stride):
+        p = engine.CboParams(steps=10, **self.P)
+        calls = []
+        res = engine.simulate(self.DIST, counting(objectives.rastrigin(1), calls), p,
+                              metrics.RecordingPlan(stride=stride))
+        assert len(calls) == p.steps + 1
+        assert len(res.series.records) == p.steps // stride + 1
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_records_match_two_pass_loop(self, stride):
+        obj = objectives.rastrigin(1)
+        p = engine.CboParams(steps=20, **self.P)
+        plan = metrics.RecordingPlan(stride=stride, ball_radii=(0.25, 0.5, 1.0))
+        want, final = two_pass_records(self.DIST, obj, p, plan)
+        res = engine.simulate(self.DIST, obj, p, plan)
+        assert res.series.records == want
+        assert np.array_equal(res.final.positions, final.positions)
+        assert res.final.time == final.time
+
+    def test_yields_every_state_once(self):
+        p = engine.CboParams(steps=6, **self.P)
+        obj = objectives.rastrigin(1)
+        ens = engine.sample_initial(self.DIST, p.n_particles, 1, p.seed)
+        ks = []
+        for k, x, e, c in engine.states(ens, obj, p, engine.NoiseSource(p.seed)):
+            ks.append(k)
+            assert np.array_equal(e, obj.eval(x))
+            assert np.array_equal(c, engine.consensus_point(engine.Ensemble(x), obj, p.alpha))
+        assert ks == list(range(p.steps + 1))
+
+    def test_pinned_const_one_evaluates_nothing(self):
+        p = engine.CboParams(steps=5, **self.P)
+        calls = []
+        obj = counting(objectives.rastrigin(1), calls)
+        ens = engine.sample_initial(self.DIST, p.n_particles, 1, p.seed)
+        pinned = np.zeros((p.steps + 1, 1))
+        out = list(engine.states(ens, obj, p, engine.NoiseSource(p.seed), consensus=pinned))
+        assert len(out) == p.steps + 1
+        assert all(e is None for _, _, e, _ in out)
+        assert calls == []
+
+    def test_nonfinite_energy_names_step_and_particle(self):
+        # state 3 is the final one and, at stride 2, not recorded: its
+        # energies are still evaluated, so the guard fires there
+        p = engine.CboParams(steps=3, **self.P)
+        calls = []
+        obj = counting(objectives.rastrigin(1), calls, nan_from=3, particle=7)
+        with pytest.raises(NumericDomainError) as err:
+            engine.simulate(self.DIST, obj, p, metrics.RecordingPlan(stride=2))
+        assert (err.value.step, err.value.particle) == (3, 7)
+        assert "particle 7" in str(err.value) and "step 3" in str(err.value)
+        assert [r.t for r in err.value.partial_series.records] == [0.0, 0.02]
+
+    def test_failure_at_state_zero_has_no_partial_series(self):
+        p = engine.CboParams(steps=3, **self.P)
+        obj = counting(objectives.rastrigin(1), [], nan_from=0)
+        with pytest.raises(NumericDomainError) as err:
+            engine.simulate(self.DIST, obj, p)
+        assert err.value.step == 0
+        assert err.value.partial_series is None
 
 
 class TestSimulate:

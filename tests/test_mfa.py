@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -70,10 +71,10 @@ class TestCoupledError:
         seen = []
         real_step = engine.cbo_step
 
-        def spy(ens, obj, prm, noise=None, increments=None, consensus=None):
+        def spy(ens, obj, prm, noise=None, increments=None, consensus=None, **kw):
             seen.append(np.array(increments))
             return real_step(ens, obj, prm, noise,
-                             increments=increments, consensus=consensus)
+                             increments=increments, consensus=consensus, **kw)
 
         monkeypatch.setattr(engine, "cbo_step", spy)
         mfa.coupled_error(DIST, OBJ, p, ref, seeds=[42], m_threshold=math.inf)
@@ -81,6 +82,17 @@ class TestCoupledError:
         assert np.array_equal(seen[0], seen[1])
         assert np.array_equal(seen[2], seen[3])
         assert not np.array_equal(seen[0], seen[2])
+
+    def test_pinned_system_evaluates_nothing(self):
+        # one replication evaluates only system (a): once per state; the
+        # pinned system (b) with H = 1 needs no energies at all
+        p = params(steps=7, n_particles=12)
+        ref = mfa.reference_consensus_trajectory(
+            DIST, OBJ, params(steps=7, n_particles=200, seed=3))
+        calls = []
+        counted = replace(OBJ, eval=lambda v: calls.append(1) or OBJ.eval(v))
+        mfa.coupled_error(DIST, counted, p, ref, seeds=[42], m_threshold=math.inf)
+        assert len(calls) == p.steps + 1
 
     def test_length_precondition(self):
         p = params(steps=20)
@@ -142,6 +154,24 @@ class TestSweep:
     def test_n_ref_must_dominate(self):
         with pytest.raises(InvalidInputError):
             mfa.mfa_sweep(DIST, OBJ, params(), [50, 100, 200], 1000, [1, 2])
+
+    def test_sweep_fans_out_once(self, monkeypatch):
+        # the sweep loops over particle counts in order and fans out over
+        # seeds only, so no thread pool is started inside another
+        depth, peak = [0], [0]
+        real_map = mfa.thread_map
+
+        def spy(fn, items):
+            depth[0] += 1
+            peak[0] = max(peak[0], depth[0])
+            try:
+                return real_map(fn, items)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(mfa, "thread_map", spy)
+        mfa.mfa_sweep(DIST, OBJ, params(steps=5), [20, 40, 80], 800, seeds=[1, 2, 3])
+        assert peak[0] == 1
 
     def test_small_sweep_outputs(self):
         p = params(steps=15)

@@ -331,6 +331,31 @@ class TestAudits:
         assert res.phi0 > 0
         assert res.q > 0
 
+    @pytest.mark.parametrize("stride", [1, 4])
+    def test_mass_audit_matches_two_pass_loop(self, stride):
+        # reference: a plain loop of cbo_step with a separate consensus_point
+        # evaluation per state
+        obj = objectives.rastrigin(1)
+        dist = engine.GaussianIsotropic((1.0,), 0.8)
+        params = engine.CboParams(
+            lam=1.0, sigma=0.5, alpha=1e15, dt=0.01, steps=30,
+            n_particles=500, dim=1, seed=6,
+        )
+        ens = engine.sample_initial(dist, params.n_particles, 1, params.seed)
+        noise = engine.NoiseSource(params.seed)
+        cdists, phi = [], []
+        for k in range(params.steps + 1):
+            if k:
+                ens = engine.cbo_step(ens, obj, params, noise, step=k - 1)
+            cons = engine.consensus_point(ens, obj, params.alpha)
+            cdists.append(float(np.linalg.norm(cons - obj.minimizer)))
+            if k % stride == 0:
+                phi.append(float(np.mean(theory.mollifier(ens.positions, obj.minimizer, 1.0))))
+        res = theory.mass_decay_audit(dist, obj, params, r=1.0, stride=stride)
+        assert res.b_sup == max(cdists)
+        assert np.array_equal(res.phi_mass, phi)
+        assert np.array_equal(res.times, np.arange(0, params.steps + 1, stride) * params.dt)
+
 
 class TestReport:
     def test_report_fields(self):
