@@ -3,8 +3,8 @@ theory reports.
 
 Exit codes: 0 success, 2 config error, 3 divergence, 4 theory-precondition
 failure.  The laplace-audit preset exits 1 when the audit finds violations.
-Worker count for preset fan-out is capped by the CBO_THREADS environment
-variable.
+The worker count of the fig-variance and fig-trajectories fan-out is capped
+by the CBO_THREADS environment variable; mfa-sweep runs in one thread.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,6 +59,19 @@ def _get(cfg, key, ctx, default=_MISSING):
             raise ConfigError(f"{ctx}: missing required key {key!r}")
         return default
     return cfg[key]
+
+
+def _json_int(value, ctx):
+    # a JSON integer; bool is an int subclass but not a count
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{ctx}: expected an integer, got {value!r}")
+    return value
+
+
+def _json_finite(value, ctx):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{ctx}: expected a finite number, got {value!r}")
+    return float(value)
 
 
 def load_config(path):
@@ -412,11 +426,14 @@ def run_mfa_sweep(raw, out_dir):
     params = parse_params(_get(raw, "params", "config"))
     init = parse_init(_get(raw, "init", "config"))
     mcfg = _get(raw, "mfa", "config")
-    n_values = [int(x) for x in _get(mcfg, "n_values", "mfa")]
-    n_ref = int(_get(mcfg, "n_ref", "mfa"))
-    n_seeds = int(_get(mcfg, "n_seeds", "mfa"))
-    seed0 = int(_get(mcfg, "seed0", "mfa", params.seed + 1))
-    m_factor = float(_get(mcfg, "m_factor", "mfa", 10.0))
+    n_values = _get(mcfg, "n_values", "mfa")
+    if not isinstance(n_values, list):
+        raise ConfigError(f"mfa.n_values: expected a list of integers, got {n_values!r}")
+    n_values = [_json_int(x, "mfa.n_values") for x in n_values]
+    n_ref = _json_int(_get(mcfg, "n_ref", "mfa"), "mfa.n_ref")
+    n_seeds = _json_int(_get(mcfg, "n_seeds", "mfa"), "mfa.n_seeds")
+    seed0 = _json_int(_get(mcfg, "seed0", "mfa", params.seed + 1), "mfa.seed0")
+    m_factor = _json_finite(_get(mcfg, "m_factor", "mfa", 10.0), "mfa.m_factor")
     seeds = [seed0 + i for i in range(n_seeds)]
     result = mfa.mfa_sweep(init, obj, params, n_values, n_ref, seeds, m_factor)
 

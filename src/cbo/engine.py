@@ -12,6 +12,10 @@ where ``c`` is the consensus point frozen from the step's input snapshot and
 function of (seed, stream, k, particle row) via counter-based Philox
 streams, so runs are deterministic and independent of particle update
 order or thread count.
+
+Positions may carry a leading replication axis, (R, n, d): every reduction
+runs over the particle axis, so a batch of R independent runs steps as one
+array with the same arithmetic, bit for bit, as R separate (n, d) runs.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ __all__ = [
     "UniformBox",
     "InitDistribution",
     "NoiseSource",
+    "NoiseBatch",
     "sample_initial",
     "consensus_point",
     "h_eval",
@@ -140,22 +145,23 @@ class CboParams:
 
 @dataclass
 class Ensemble:
-    """N particle positions in R^d at one time instant (rows are agents)."""
+    """N particle positions in R^d at one time instant (rows are agents), or
+    a batch of R such ensembles stacked on a leading axis, (R, n, dim)."""
 
     positions: np.ndarray
     time: float = 0.0
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=float)
-        if self.positions.ndim != 2 or self.positions.shape[0] < 1:
+        if self.positions.ndim not in (2, 3) or 0 in self.positions.shape[:-1]:
             raise ConfigError(
-                f"positions must be an (n, dim) matrix with n >= 1, got shape "
-                f"{self.positions.shape}"
+                f"positions must be an (n, dim) matrix or an (R, n, dim) batch with "
+                f"n, R >= 1, got shape {self.positions.shape}"
             )
 
     @property
     def dim(self):
-        return self.positions.shape[1]
+        return self.positions.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -190,17 +196,56 @@ class NoiseSource:
     """Deterministic Gaussian increment source for one (seed, stream) pair.
 
     Each step index owns a disjoint counter block, so increments can be
-    regenerated for any step without replaying the stream.
+    regenerated for any step, in any order, without replaying the stream.
+    An instance holds one Philox generator whose counter every call resets
+    to the step's block: it has state, so do not share an instance between
+    threads.
     """
 
     def __init__(self, seed, stream=0):
         self.seed = _check_seed(seed)
         self.stream = _check_seed(stream, "stream")
+        self._bitgen = np.random.Philox(key=np.array([self.seed, _DYNAMICS_TAG], dtype=np.uint64))
+        self._gen = np.random.Generator(self._bitgen)
+        # the state of a freshly keyed generator: empty output buffer
+        self._state = self._bitgen.state
+
+    def increments(self, step, n, dim, dt, out=None):
+        """The (n, dim) matrix of N(0, dt I) increments for the given step,
+        drawn into ``out`` (a C-contiguous float (n, dim) array) when given."""
+        self._state["state"]["counter"][:] = (0, 0, self.stream, step)
+        self._bitgen.state = self._state
+        if out is None:
+            return self._gen.standard_normal((n, dim)) * math.sqrt(dt)
+        self._gen.standard_normal(out=out)
+        out *= math.sqrt(dt)
+        return out
+
+
+class NoiseBatch:
+    """Increments of a batch of replications: row r of each (R, n, dim)
+    draw is, bitwise, the draw of ``NoiseSource(seeds[r])``.
+
+    A repeated call for the step drawn last returns the same array without
+    drawing again, so iterators that step the same replications in lockstep
+    share each step's draw; a call for another step draws a new array.
+    Like a ``NoiseSource``, an instance holds state: do not share it
+    between threads.
+    """
+
+    def __init__(self, seeds):
+        self._sources = [NoiseSource(s) for s in seeds]
+        self.seeds = tuple(src.seed for src in self._sources)
+        self._drawn = self._buf = None
 
     def increments(self, step, n, dim, dt):
-        """The (n, dim) matrix of N(0, dt I) increments for the given step."""
-        gen = _philox(self.seed, _DYNAMICS_TAG, self.stream, step)
-        return gen.standard_normal((n, dim)) * math.sqrt(dt)
+        """The (R, n, dim) increments of every replication for the given step."""
+        if self._drawn != (step, n, dim, dt):
+            self._buf = np.empty((len(self._sources), n, dim))
+            for src, row in zip(self._sources, self._buf):
+                src.increments(step, n, dim, dt, out=row)
+            self._drawn = (step, n, dim, dt)
+        return self._buf
 
 
 def sample_initial(dist, n, dim, seed, stream=0):
@@ -237,16 +282,27 @@ def sample_initial(dist, n, dim, seed, stream=0):
 # consensus point and one step
 
 
-def _energies(obj, x, step=None):
+def _locate(bad, seeds):
+    """The first True of a mask over particles, (n,), or over replications
+    and particles, (R, n): its particle index, its replication's seed (None
+    without a batch axis or ``seeds``) and words naming the replication."""
+    j, i = divmod(int(np.argmax(bad)), bad.shape[-1])
+    if bad.ndim == 1:
+        return i, None, ""
+    seed = None if seeds is None else seeds[j]
+    return i, seed, f" of replication {j}" + ("" if seed is None else f" (seed {seed})")
+
+
+def _energies(obj, x, step=None, seeds=None):
     # overflow to inf is caught by the finiteness guard below
     with np.errstate(over="ignore", invalid="ignore"):
         e = np.asarray(obj.eval(x), dtype=float)
     bad = ~np.isfinite(e)
     if bad.any():
-        i = int(np.argmax(bad))
+        i, seed, rep = _locate(bad, seeds)
         where = "" if step is None else f" at step {step}"
         raise NumericDomainError(
-            f"non-finite energy at particle {i}{where}", step=step, particle=i
+            f"non-finite energy at particle {i}{rep}{where}", step=step, particle=i, seed=seed
         )
     return e
 
@@ -257,17 +313,52 @@ def _weighted_consensus(x, energies, alpha):
     # never underflows to an empty sum even for alpha ~ 1e15.  If every
     # non-minimal weight underflows, this degrades gracefully to the mean
     # of the energy-minimizing particles.
-    w = np.exp(-alpha * (energies - energies.min()))
-    return (x * w[:, None]).sum(axis=0) / w.sum()
+    w = np.exp(-alpha * (energies - energies.min(axis=-1, keepdims=True)))
+    return (x * w[..., None]).sum(axis=-2) / w.sum(axis=-1)[..., None]
 
 
 def consensus_point(ens, obj, alpha):
     """The omega_alpha-weighted mean of the ensemble, stabilized by the
-    minimal energy shift; exact up to rounding for any alpha > 0."""
+    minimal energy shift; exact up to rounding for any alpha > 0.  One point
+    per replication, (R, dim), for a batch."""
     if obj.dim != ens.dim:
         raise ConfigError(f"objective dim {obj.dim} != ensemble dim {ens.dim}")
     x = ens.positions
     return _weighted_consensus(x, _energies(obj, x), float(alpha))
+
+
+def _step(x, obj, params, c, energies, increments, step, seeds=None):
+    """Positions of state ``step + 1`` from the positions ``x`` of state
+    ``step``, its consensus point ``c`` ((dim,), or (R, dim) per replication
+    of a batch) and its ``energies`` (read only when H is not ConstOne)."""
+    if increments.shape != x.shape:
+        raise ConfigError(f"increments have shape {increments.shape}, expected {x.shape}")
+    c = c[..., None, :]  # broadcasts over the particle axis
+    diff = x - c
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift = (params.dt * params.lam) * diff
+    if not isinstance(params.h_variant, ConstOne):
+        e_c = np.asarray(obj.eval(c), dtype=float)
+        bad = ~np.isfinite(e_c)
+        if bad.any():
+            _, seed, rep = _locate(bad, seeds)
+            raise NumericDomainError(
+                f"non-finite energy at the consensus point{rep} at step {step}",
+                step=step, seed=seed,
+            )
+        drift *= h_eval(params.h_variant, energies - e_c)[..., None]
+
+    # overflow to non-finite coordinates is caught by the divergence guard
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist = np.sqrt((diff * diff).sum(axis=-1))
+        new = x - drift + params.sigma * dist[..., None] * increments
+    if not np.isfinite(new).all():
+        i, seed, rep = _locate(~np.isfinite(new).all(axis=-1), seeds)
+        raise DivergenceError(
+            f"non-finite coordinates of particle {i}{rep} after step {step}",
+            step=step, particle=i, seed=seed,
+        )
+    return new
 
 
 def cbo_step(ens, obj, params, noise=None, increments=None, consensus=None,
@@ -277,77 +368,64 @@ def cbo_step(ens, obj, params, noise=None, increments=None, consensus=None,
     The consensus point is computed once from the input state (or pinned via
     ``consensus``); all particles then update independently.  ``energies``
     of the input state are reused when given.  Increments can be supplied
-    explicitly (shape (n, dim), already scaled to variance dt) for coupled
-    runs, otherwise they come from ``noise`` at this step index.
+    explicitly (shaped like the positions, already scaled to variance dt)
+    for coupled runs, otherwise they come from ``noise`` at this step index.
+    ``noise`` holds generator state, so give each thread its own.
+
+    Positions may carry a replication axis, (R, n, dim), as in ``states``;
+    a pinned ``consensus`` is then (dim,) or one point per replication,
+    (R, dim), and errors name the seed of a ``NoiseBatch``'s replication.
     """
     x = ens.positions
-    n, d = x.shape
+    d = x.shape[-1]
     if obj.dim != d:
         raise ConfigError(f"objective dim {obj.dim} != ensemble dim {d}")
-
-    const_h = isinstance(params.h_variant, ConstOne)
-    if energies is None and (consensus is None or not const_h):
-        energies = _energies(obj, x, step)
+    seeds = getattr(noise, "seeds", None)
+    if energies is None and (consensus is None or not isinstance(params.h_variant, ConstOne)):
+        energies = _energies(obj, x, step, seeds)
     if consensus is None:
         c = _weighted_consensus(x, energies, params.alpha)
     else:
         c = np.asarray(consensus, dtype=float)
-        if c.shape != (d,):
-            raise ConfigError(f"consensus has shape {c.shape}, expected ({d},)")
-
-    diff = x - c
-    with np.errstate(over="ignore", invalid="ignore"):
-        drift = (params.dt * params.lam) * diff
-    if not const_h:
-        e_c = float(obj.eval(c))
-        if not math.isfinite(e_c):
-            raise NumericDomainError(
-                f"non-finite energy at the consensus point at step {step}", step=step
-            )
-        drift *= h_eval(params.h_variant, energies - e_c)[:, None]
-
+        if c.shape not in ((d,), x.shape[:-2] + (d,)):
+            want = f"({d},)" if x.ndim == 2 else f"({d},) or {x.shape[:-2] + (d,)}"
+            raise ConfigError(f"consensus has shape {c.shape}, expected {want}")
     if increments is None:
         if noise is None:
             raise ConfigError("cbo_step needs a NoiseSource or explicit increments")
-        increments = noise.increments(step, n, d, params.dt)
-    else:
-        increments = np.asarray(increments, dtype=float)
-        if increments.shape != (n, d):
-            raise ConfigError(
-                f"increments have shape {increments.shape}, expected ({n}, {d})"
-            )
-
-    # overflow to non-finite coordinates is caught by the divergence guard
-    with np.errstate(over="ignore", invalid="ignore"):
-        dist = np.sqrt((diff * diff).sum(axis=1))
-        new = x - drift + params.sigma * dist[:, None] * increments
-    if not np.isfinite(new).all():
-        i = int(np.argmin(np.isfinite(new).all(axis=1)))
-        raise DivergenceError(
-            f"non-finite coordinates of particle {i} after step {step}",
-            step=step, particle=i,
-        )
+        increments = noise.increments(step, *x.shape[-2:], params.dt)
+    new = _step(x, obj, params, c, energies, np.asarray(increments, dtype=float), step, seeds)
     return Ensemble(new, time=(step + 1) * params.dt)
 
 
 def states(ens, obj, params, noise, consensus=None):
     """Yield ``(k, positions, energies, consensus)`` for the states k = 0..steps
     reached from ``ens``, evaluating each state's energies and consensus once
-    and reusing them in the ``cbo_step`` to state k + 1 (increments from
+    and reusing them in the step to state k + 1 (increments from
     ``noise.increments(k, n, dim, dt)``).  A pinned ``consensus`` is indexed
     by k; with ``ConstOne`` it needs no energies and None is yielded.
-    Yielded arrays are shared, not copies: do not modify them."""
+
+    A batch, positions (R, n, dim), steps R replications at once, bit for
+    bit as R separate runs: energies are then (R, n) and a free consensus
+    (R, dim), ``noise`` must give (R, n, dim) increments (a ``NoiseBatch``,
+    whose ``seeds`` then name the failing replication in errors), and each
+    pinned consensus entry is shared by every replication.  Yielded arrays
+    are shared, not copies: do not modify them.  ``noise`` holds generator
+    state, so a run in each thread needs its own."""
     if obj.dim != ens.dim:
         raise ConfigError(f"objective dim {obj.dim} != ensemble dim {ens.dim}")
-    n, d = ens.positions.shape
+    x, ens = ens.positions, None  # no reference to state 0 outlives its step
+    n, d = x.shape[-2:]
+    seeds = getattr(noise, "seeds", None)
+    if consensus is not None:
+        consensus = np.asarray(consensus, dtype=float)
     need_energies = consensus is None or not isinstance(params.h_variant, ConstOne)
     for k in range(params.steps + 1):
         if k:
             # increments passed inline: no local keeps them alive past the step
-            ens = cbo_step(ens, obj, params, consensus=c, energies=e, step=k - 1,
-                           increments=noise.increments(k - 1, n, d, params.dt))
-        x = ens.positions
-        e = _energies(obj, x, k) if need_energies else None
+            x = _step(x, obj, params, c, e, noise.increments(k - 1, n, d, params.dt),
+                      k - 1, seeds)
+        e = _energies(obj, x, k, seeds) if need_energies else None
         c = _weighted_consensus(x, e, params.alpha) if consensus is None else consensus[k]
         yield k, x, e, c
 

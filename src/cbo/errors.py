@@ -23,13 +23,15 @@ class InvalidInputError(ConfigError):
 
 class SimulationError(CboError):
     """A particle run left the numerically valid domain; ``step`` and
-    ``particle`` locate the failure where known, ``partial_series`` holds the
-    metrics recorded before it."""
+    ``particle`` locate the failure where known, ``seed`` names the failing
+    replication of a batched run, ``partial_series`` holds the metrics
+    recorded before it."""
 
-    def __init__(self, message, step=None, particle=None, partial_series=None):
+    def __init__(self, message, step=None, particle=None, partial_series=None, seed=None):
         super().__init__(message)
         self.step = step
         self.particle = particle
+        self.seed = seed
         self.partial_series = partial_series
 
 

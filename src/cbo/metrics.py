@@ -1,7 +1,8 @@
 """Empirical functionals of an ensemble and exponential-rate fitting.
 
 All functions here are pure and operate on position matrices of shape
-``(n, dim)``; they are safe for unrestricted concurrent use.
+``(n, dim)``; ``moment4_stat`` also takes a batch ``(R, n, dim)``.  They are
+safe for unrestricted concurrent use.
 """
 
 from __future__ import annotations
@@ -114,20 +115,22 @@ def ball_mass(ens, vstar, r):
 
 
 def moment4_stat(ens, ens_bar=None):
-    """(1/n) sum_i max{||V^i||^4, ||Vbar^i||^4}; the second ensemble is optional."""
+    """(1/n) sum_i max{||V^i||^4, ||Vbar^i||^4}; the second ensemble is
+    optional.  A batch (R, n, dim) gives one value per replication, (R,)."""
     x = _positions(ens)
     # fourth powers may saturate to inf for extreme states; that is the
     # honest value for this diagnostic
     with np.errstate(over="ignore"):
-        m = (x * x).sum(axis=1) ** 2
+        m = (x * x).sum(axis=-1) ** 2
         if ens_bar is not None:
             y = _positions(ens_bar)
             if y.shape != x.shape:
                 raise InvalidInputError(
                     f"coupled ensembles differ in shape: {x.shape} vs {y.shape}"
                 )
-            m = np.maximum(m, (y * y).sum(axis=1) ** 2)
-        return float(np.mean(m))
+            m = np.maximum(m, (y * y).sum(axis=-1) ** 2)
+        m = np.mean(m, axis=-1)
+        return float(m) if m.ndim == 0 else m
 
 
 def snapshot(t, x, vstar, consensus, ball_radii):

@@ -50,6 +50,7 @@ def test_criterion_1_decay_rate_and_variance_bump(mu1_run):
     )
 
 
+@pytest.mark.slow
 def test_criterion_2_straight_mean_trajectories(tmp_path):
     out = tmp_path / "fig_traj"
     code = cli.main(

@@ -1,6 +1,8 @@
 import json
+import math
 
 import numpy as np
+import pytest
 
 from cbo import cli
 
@@ -157,6 +159,27 @@ def mfa_smoke_config(out):
         "mfa": {"n_values": [20, 40, 80], "n_ref": 800, "n_seeds": 4},
         "outputs": str(out),
     }
+
+
+class TestMfaConfigErrors:
+    @pytest.mark.parametrize("key, value", [
+        ("n_values", [20, 40, 40.5]),
+        ("n_values", 20),
+        ("n_ref", 800.0),
+        ("n_seeds", 2.7),
+        ("n_seeds", True),
+        ("seed0", "6"),
+        ("m_factor", "x"),
+        ("m_factor", math.nan),
+        ("m_factor", math.inf),
+    ])
+    def test_bad_value_exit_2_names_key(self, tmp_path, capsys, key, value):
+        # no silent truncation and no traceback: exit 2 naming the key
+        cfg = mfa_smoke_config(tmp_path / "sweep")
+        cfg["mfa"][key] = value
+        assert cli.main(["preset", "mfa-sweep", write_config(tmp_path, cfg)]) == cli.EXIT_CONFIG
+        assert f"mfa.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
 
 
 class TestPresets:

@@ -82,6 +82,29 @@ class TestNoiseSource:
         b = engine.NoiseSource(7, stream=1).increments(0, 8, 2, 0.01)
         assert not np.array_equal(a, b)
 
+    def test_any_call_order_matches_fresh_generator(self):
+        # one generator per source, its counter reset per call: any order of
+        # steps and shapes draws what a generator built for that step draws
+        src = engine.NoiseSource(7, stream=3)
+        for k, n, d in [(5, 8, 2), (0, 50, 1), (5, 3, 2), (3, 800, 1), (5, 8, 2)]:
+            fresh = engine._philox(7, engine._DYNAMICS_TAG, 3, k)
+            want = fresh.standard_normal((n, d)) * math.sqrt(0.01)
+            assert np.array_equal(src.increments(k, n, d, 0.01), want)
+            out = np.full((n, d), np.nan)
+            assert src.increments(k, n, d, 0.01, out=out) is out
+            assert np.array_equal(out, want)
+
+    def test_batch_rows_and_shared_buffer(self):
+        batch = engine.NoiseBatch([4, 9, 2])
+        a = batch.increments(1, 6, 2, 0.01)
+        assert a.shape == (3, 6, 2)
+        for row, seed in zip(a, [4, 9, 2]):
+            assert np.array_equal(row, engine.NoiseSource(seed).increments(1, 6, 2, 0.01))
+        assert batch.increments(1, 6, 2, 0.01) is a  # same step: no new draw
+        b = batch.increments(2, 6, 2, 0.01)
+        assert b is not a and not np.array_equal(a, b)
+        assert np.array_equal(batch.increments(1, 6, 2, 0.01), a)
+
 
 class TestConsensusPoint:
     def test_single_particle(self):
@@ -360,6 +383,60 @@ class TestStates:
             engine.simulate(self.DIST, obj, p)
         assert err.value.step == 0
         assert err.value.partial_series is None
+
+
+class TestBatchedStates:
+    SEEDS = (11, 12, 13)
+    N = 300  # crosses numpy's 128-element pairwise-summation blocks
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("h", [engine.CONST_ONE, engine.RampHeaviside(0.5)])
+    @pytest.mark.parametrize("pinned", [False, True])
+    def test_batch_equals_separate_runs(self, dim, h, pinned):
+        p = engine.CboParams(lam=1.0, sigma=0.5, alpha=30.0, dt=0.05, steps=6,
+                             n_particles=self.N, dim=dim, h_variant=h, seed=0)
+        obj = objectives.rastrigin(dim)
+        dist = engine.GaussianIsotropic((1.0,) * dim, 0.8)
+        consensus = None
+        if pinned:
+            consensus = np.linspace(1.0, 0.2, p.steps + 1)[:, None] * np.ones(dim)
+        inits = [engine.sample_initial(dist, self.N, dim, s) for s in self.SEEDS]
+        separate = [
+            list(engine.states(ens, obj, p, engine.NoiseSource(s), consensus=consensus))
+            for ens, s in zip(inits, self.SEEDS)
+        ]
+        batch = engine.Ensemble(np.stack([ens.positions for ens in inits]))
+        run = engine.states(batch, obj, p, engine.NoiseBatch(self.SEEDS), consensus=consensus)
+        for k, x, e, c in run:
+            assert x.shape == (3, self.N, dim)
+            for r, (kr, xr, er, cr) in enumerate(states_r[k] for states_r in separate):
+                assert kr == k
+                assert np.array_equal(x[r], xr)
+                assert np.array_equal(c if pinned else c[r], cr)
+                if er is None:
+                    assert e is None
+                else:
+                    assert np.array_equal(e[r], er)
+        assert k == p.steps
+
+    def test_nonfinite_energy_names_replication_seed(self):
+        p = engine.CboParams(lam=1.0, sigma=0.5, alpha=30.0, dt=0.01, steps=5,
+                             n_particles=20, dim=1, seed=0)
+        calls = []
+        obj = counting(objectives.rastrigin(1), calls, nan_from=3, particle=(1, 7))
+        dist = engine.GaussianIsotropic((1.0,), 0.8)
+        batch = engine.Ensemble(np.stack(
+            [engine.sample_initial(dist, 20, 1, s).positions for s in self.SEEDS]))
+        with pytest.raises(NumericDomainError) as err:
+            list(engine.states(batch, obj, p, engine.NoiseBatch(self.SEEDS)))
+        assert (err.value.step, err.value.particle, err.value.seed) == (3, 7, 12)
+        msg = str(err.value)
+        assert "particle 7" in msg and "step 3" in msg and "seed 12" in msg
+        # a batched cbo_step names the replication's seed the same way
+        obj = counting(objectives.rastrigin(1), [], nan_from=0, particle=(1, 7))
+        with pytest.raises(NumericDomainError) as err:
+            engine.cbo_step(batch, obj, p, engine.NoiseBatch(self.SEEDS), step=4)
+        assert (err.value.step, err.value.particle, err.value.seed) == (4, 7, 12)
 
 
 class TestSimulate:

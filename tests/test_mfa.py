@@ -1,4 +1,5 @@
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -62,26 +63,35 @@ class TestCoupledError:
         run = mfa.coupled_error(DIST, OBJ, p, ref, seeds=[1, 2, 3], m_threshold=1e9)
         assert run.err_sup == 0.0
 
-    def test_increments_shared_bitwise(self, monkeypatch):
-        # instrument cbo_step on a 2-step run: per step, systems (a) and (b)
-        # must receive the identical increment matrix
-        p = params(steps=2, n_particles=8)
+    def test_increments_shared_bitwise(self):
+        # coupled_error steps the seeds as batches (here 2 + 1 at 3000
+        # particles); it must equal, bitwise, a plain per-seed loop of
+        # two-pass cbo_step calls in which systems (a) and (b) are handed
+        # the same increments at each step
+        p = params(steps=3, n_particles=3000)
+        assert mfa.BATCH_PARTICLES // p.n_particles == 2
         ref = mfa.reference_consensus_trajectory(
-            DIST, OBJ, params(steps=2, n_particles=100, seed=3))
-        seen = []
-        real_step = engine.cbo_step
-
-        def spy(ens, obj, prm, noise=None, increments=None, consensus=None, **kw):
-            seen.append(np.array(increments))
-            return real_step(ens, obj, prm, noise,
-                             increments=increments, consensus=consensus, **kw)
-
-        monkeypatch.setattr(engine, "cbo_step", spy)
-        mfa.coupled_error(DIST, OBJ, p, ref, seeds=[42], m_threshold=math.inf)
-        assert len(seen) == 4  # 2 steps x 2 systems
-        assert np.array_equal(seen[0], seen[1])
-        assert np.array_equal(seen[2], seen[3])
-        assert not np.array_equal(seen[0], seen[2])
+            DIST, OBJ, params(steps=3, n_particles=400, seed=3))
+        seeds = [42, 43, 44]
+        sups = []
+        for s in seeds:
+            a = b = engine.sample_initial(DIST, p.n_particles, 1, s)
+            noise = engine.NoiseSource(s)
+            gap_sup = np.zeros(p.n_particles)
+            for k in range(p.steps):
+                inc = noise.increments(k, p.n_particles, 1, p.dt)
+                a = engine.cbo_step(a, OBJ, p, increments=inc, step=k)
+                b = engine.cbo_step(b, OBJ, p, increments=inc, step=k,
+                                    consensus=ref.points[k])
+                gap = a.positions - b.positions
+                gap_sup = np.maximum(gap_sup, (gap * gap).sum(axis=1))
+            sups.append(gap_sup)
+        assert sups[0].max() > 0
+        run = mfa.coupled_error(DIST, OBJ, p, ref, seeds=seeds, m_threshold=math.inf)
+        want = np.stack(sups).mean(axis=0).max()
+        assert run.err_sup == want
+        assert run.err_sup_conditional == want
+        assert run.exceed_fraction == 0.0
 
     def test_pinned_system_evaluates_nothing(self):
         # one replication evaluates only system (a): once per state; the
@@ -131,14 +141,11 @@ class TestCoupledError:
         m_threshold = float(np.median(sups_m4))  # splits replications
         run = mfa.coupled_error(DIST, OBJ, p, ref, seeds, m_threshold)
         exceeds = np.array([m > m_threshold for m in sups_m4])
-        np.testing.assert_allclose(run.exceed_fraction, exceeds.mean())
+        assert 0 < exceeds.mean() < 1
+        assert run.exceed_fraction == exceeds.mean()
         keep = np.stack(sups_err)[~exceeds]
-        np.testing.assert_allclose(
-            run.err_sup_conditional, keep.mean(axis=0).max(), rtol=1e-12
-        )
-        np.testing.assert_allclose(
-            run.err_sup, np.stack(sups_err).mean(axis=0).max(), rtol=1e-12
-        )
+        assert run.err_sup_conditional == keep.mean(axis=0).max()
+        assert run.err_sup == np.stack(sups_err).mean(axis=0).max()
 
 
 class TestSweep:
@@ -155,23 +162,15 @@ class TestSweep:
         with pytest.raises(InvalidInputError):
             mfa.mfa_sweep(DIST, OBJ, params(), [50, 100, 200], 1000, [1, 2])
 
-    def test_sweep_fans_out_once(self, monkeypatch):
-        # the sweep loops over particle counts in order and fans out over
-        # seeds only, so no thread pool is started inside another
-        depth, peak = [0], [0]
-        real_map = mfa.thread_map
+    def test_sweep_starts_no_thread_pool(self, monkeypatch):
+        # the seeds of each particle count step as batches in the calling
+        # thread, whatever the worker cap; a started thread fails at once
+        def start(t):
+            raise AssertionError("mfa_sweep started a thread")
 
-        def spy(fn, items):
-            depth[0] += 1
-            peak[0] = max(peak[0], depth[0])
-            try:
-                return real_map(fn, items)
-            finally:
-                depth[0] -= 1
-
-        monkeypatch.setattr(mfa, "thread_map", spy)
+        monkeypatch.setattr(threading.Thread, "start", start)
+        monkeypatch.setenv("CBO_THREADS", "4")
         mfa.mfa_sweep(DIST, OBJ, params(steps=5), [20, 40, 80], 800, seeds=[1, 2, 3])
-        assert peak[0] == 1
 
     def test_small_sweep_outputs(self):
         p = params(steps=15)
