@@ -74,6 +74,12 @@ def _json_finite(value, ctx):
     return float(value)
 
 
+def _json_vector(value, ctx):
+    if not isinstance(value, list):
+        raise ConfigError(f"{ctx}: expected a list of finite numbers, got {value!r}")
+    return tuple(_json_finite(v, ctx) for v in value)
+
+
 def load_config(path):
     path = Path(path)
     try:
@@ -88,7 +94,7 @@ def load_config(path):
 
 def parse_objective(cfg):
     name = _get(cfg, "name", "objective")
-    dim = _get(cfg, "dim", "objective")
+    dim = _json_int(_get(cfg, "dim", "objective"), "objective.dim")
     kwargs = {}
     if name == "quadratic" and "center" in cfg:
         kwargs["center"] = cfg["center"]
@@ -103,14 +109,14 @@ def parse_objective(cfg):
 def parse_init(cfg):
     kind = _get(cfg, "kind", "init")
     if kind == "gaussian":
-        mean = _get(cfg, "mean", "init")
-        var = _get(cfg, "variance", "init")
-        return engine.GaussianIsotropic(tuple(float(m) for m in mean), float(var))
+        return engine.GaussianIsotropic(
+            _json_vector(_get(cfg, "mean", "init"), "init.mean"),
+            _json_finite(_get(cfg, "variance", "init"), "init.variance"),
+        )
     if kind == "uniform":
-        lo = _get(cfg, "lo", "init")
-        hi = _get(cfg, "hi", "init")
         return engine.UniformBox(
-            tuple(float(v) for v in lo), tuple(float(v) for v in hi)
+            _json_vector(_get(cfg, "lo", "init"), "init.lo"),
+            _json_vector(_get(cfg, "hi", "init"), "init.hi"),
         )
     raise ConfigError(f"init.kind: unknown kind {kind!r} (gaussian|uniform)")
 
@@ -119,7 +125,7 @@ def _parse_h(value):
     if value in (None, "const_one"):
         return engine.CONST_ONE
     if isinstance(value, dict) and value.get("kind") == "ramp_heaviside":
-        return engine.RampHeaviside(float(_get(value, "delta", "params.h")))
+        return engine.RampHeaviside(_json_finite(_get(value, "delta", "params.h"), "params.h.delta"))
     raise ConfigError(
         f"params.h: expected 'const_one' or {{'kind': 'ramp_heaviside', 'delta': ...}}, "
         f"got {value!r}"
@@ -127,28 +133,31 @@ def _parse_h(value):
 
 
 def parse_params(cfg):
-    try:
-        return engine.CboParams(
-            lam=float(_get(cfg, "lambda", "params")),
-            sigma=float(_get(cfg, "sigma", "params")),
-            alpha=float(_get(cfg, "alpha", "params")),
-            dt=float(_get(cfg, "dt", "params")),
-            steps=int(_get(cfg, "steps", "params")),
-            n_particles=int(_get(cfg, "n_particles", "params")),
-            dim=int(_get(cfg, "dim", "params")),
-            h_variant=_parse_h(cfg.get("h")),
-            seed=int(_get(cfg, "seed", "params", 0)),
-        )
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"params: {err}") from err
+    def number(key):
+        return _json_finite(_get(cfg, key, "params"), f"params.{key}")
+
+    def count(key, *default):
+        return _json_int(_get(cfg, key, "params", *default), f"params.{key}")
+
+    return engine.CboParams(
+        lam=number("lambda"),
+        sigma=number("sigma"),
+        alpha=number("alpha"),
+        dt=number("dt"),
+        steps=count("steps"),
+        n_particles=count("n_particles"),
+        dim=count("dim"),
+        h_variant=_parse_h(cfg.get("h")),
+        seed=count("seed", 0),
+    )
 
 
 def parse_recording(cfg):
     if cfg is None:
         return RecordingPlan()
     return RecordingPlan(
-        stride=int(_get(cfg, "stride", "recording", 1)),
-        ball_radii=tuple(float(r) for r in _get(cfg, "ball_radii", "recording", ())),
+        stride=_json_int(_get(cfg, "stride", "recording", 1), "recording.stride"),
+        ball_radii=_json_vector(_get(cfg, "ball_radii", "recording", []), "recording.ball_radii"),
     )
 
 

@@ -20,6 +20,7 @@ array with the same arithmetic, bit for bit, as R separate (n, d) runs.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, NumericDomainError, SimulationError
-from .metrics import MetricsSeries, RecordingPlan, snapshot
+from .metrics import MetricsSeries, RecordingPlan, row_blocks, snapshot
 
 __all__ = [
     "ConstOne",
@@ -199,7 +200,8 @@ class NoiseSource:
     regenerated for any step, in any order, without replaying the stream.
     An instance holds one Philox generator whose counter every call resets
     to the step's block: it has state, so do not share an instance between
-    threads.
+    threads.  It keeps no increments: each call returns a new array, or the
+    caller's ``out``, which the caller owns.
     """
 
     def __init__(self, seed, stream=0):
@@ -212,7 +214,8 @@ class NoiseSource:
 
     def increments(self, step, n, dim, dt, out=None):
         """The (n, dim) matrix of N(0, dt I) increments for the given step,
-        drawn into ``out`` (a C-contiguous float (n, dim) array) when given."""
+        drawn into ``out`` (a C-contiguous float (n, dim) array) and scaled
+        there in place when given."""
         self._state["state"]["counter"][:] = (0, 0, self.stream, step)
         self._bitgen.state = self._state
         if out is None:
@@ -226,10 +229,13 @@ class NoiseBatch:
     """Increments of a batch of replications: row r of each (R, n, dim)
     draw is, bitwise, the draw of ``NoiseSource(seeds[r])``.
 
-    A repeated call for the step drawn last returns the same array without
-    drawing again, so iterators that step the same replications in lockstep
-    share each step's draw; a call for another step draws a new array.
-    Like a ``NoiseSource``, an instance holds state: do not share it
+    A call for another step than the one drawn last draws into ``out``, or
+    a new array when ``out`` is None.  A repeated call for the step drawn
+    last returns the array drawn then, without drawing again and without
+    writing ``out``, so iterators that step the same replications in
+    lockstep share each step's draw; as each iterator passes the array it
+    got as ``out`` of its next call, they share one buffer for the whole
+    run.  Like a ``NoiseSource``, an instance holds state: do not share it
     between threads.
     """
 
@@ -238,10 +244,10 @@ class NoiseBatch:
         self.seeds = tuple(src.seed for src in self._sources)
         self._drawn = self._buf = None
 
-    def increments(self, step, n, dim, dt):
+    def increments(self, step, n, dim, dt, out=None):
         """The (R, n, dim) increments of every replication for the given step."""
         if self._drawn != (step, n, dim, dt):
-            self._buf = np.empty((len(self._sources), n, dim))
+            self._buf = np.empty((len(self._sources), n, dim)) if out is None else out
             for src, row in zip(self._sources, self._buf):
                 src.increments(step, n, dim, dt, out=row)
             self._drawn = (step, n, dim, dt)
@@ -282,6 +288,11 @@ def sample_initial(dist, n, dim, seed, stream=0):
 # consensus point and one step
 
 
+# np.exp(a) rounds to +0.0 for every a < -745.14, and it takes a slow path
+# when its result underflows: at alpha ~ 1e15 nearly every weight does
+_EXP_ZERO_BELOW = -746.0
+
+
 def _locate(bad, seeds):
     """The first True of a mask over particles, (n,), or over replications
     and particles, (R, n): its particle index, its replication's seed (None
@@ -293,28 +304,58 @@ def _locate(bad, seeds):
     return i, seed, f" of replication {j}" + ("" if seed is None else f" (seed {seed})")
 
 
-def _energies(obj, x, step=None, seeds=None):
-    # overflow to inf is caught by the finiteness guard below
+def _nonfinite_energy(e, step, seeds):
+    i, seed, rep = _locate(~np.isfinite(e), seeds)
+    where = "" if step is None else f" at step {step}"
+    return NumericDomainError(
+        f"non-finite energy at particle {i}{rep}{where}", step=step, particle=i, seed=seed
+    )
+
+
+def _eval_rows(obj, rows, e, s):
+    """Energies of ``rows`` into ``e[..., s]``: their minimum per
+    replication, or None if one of them is not finite."""
+    # overflow to inf is caught by the caller's finiteness guard
     with np.errstate(over="ignore", invalid="ignore"):
-        e = np.asarray(obj.eval(x), dtype=float)
-    bad = ~np.isfinite(e)
-    if bad.any():
-        i, seed, rep = _locate(bad, seeds)
-        where = "" if step is None else f" at step {step}"
-        raise NumericDomainError(
-            f"non-finite energy at particle {i}{rep}{where}", step=step, particle=i, seed=seed
-        )
-    return e
+        eb = np.asarray(obj.eval(rows), dtype=float)
+    e[..., s] = eb
+    return eb.min(axis=-1, keepdims=True) if np.isfinite(eb).all() else None
 
 
-def _weighted_consensus(x, energies, alpha):
+def _energies(obj, x, step=None, seeds=None, blocks=None):
+    """Energies of the positions ``x``, evaluated one row block at a time
+    (``blocks``, by default ``row_blocks(x.shape)``), and their minimum per
+    replication, (1,) or (R, 1)."""
+    e = np.empty(x.shape[:-1])
+    mins = [_eval_rows(obj, x[..., s, :], e, s) for s in blocks or row_blocks(x.shape)]
+    if any(m is None for m in mins):
+        raise _nonfinite_energy(e, step, seeds)
+    return e, functools.reduce(np.minimum, mins)
+
+
+def _weights(energies, emin, alpha, out=None):
+    """exp(-alpha (energies - emin)), bitwise as np.exp computes it, into
+    ``out`` (a new array when None)."""
+    w = np.subtract(energies, emin, out=out)
+    w *= -alpha
+    if w.min() > _EXP_ZERO_BELOW:  # a masked exp is slower when it masks nothing
+        return np.exp(w, out=w)
+    # exp runs only where it does not round to zero; max() then turns the
+    # arguments left elsewhere into exact +0.0
+    np.exp(w, out=w, where=w > _EXP_ZERO_BELOW)
+    return np.maximum(w, 0.0, out=w)
+
+
+def _weighted_consensus(x, energies, emin, alpha, w=None, xw=None):
     # Shifting by the minimum energy leaves the weighted mean exactly
     # invariant and keeps at least one weight equal to 1, so the softmax
     # never underflows to an empty sum even for alpha ~ 1e15.  If every
     # non-minimal weight underflows, this degrades gracefully to the mean
-    # of the energy-minimizing particles.
-    w = np.exp(-alpha * (energies - energies.min(axis=-1, keepdims=True)))
-    return (x * w[..., None]).sum(axis=-2) / w.sum(axis=-1)[..., None]
+    # of the energy-minimizing particles.  ``emin`` is the minimum per
+    # replication, ``w`` and ``xw`` optional buffers for the weights and the
+    # weighted positions.
+    w = _weights(energies, emin, alpha, out=w)
+    return np.multiply(x, w[..., None], out=xw).sum(axis=-2) / w.sum(axis=-1)[..., None]
 
 
 def consensus_point(ens, obj, alpha):
@@ -324,20 +365,29 @@ def consensus_point(ens, obj, alpha):
     if obj.dim != ens.dim:
         raise ConfigError(f"objective dim {obj.dim} != ensemble dim {ens.dim}")
     x = ens.positions
-    return _weighted_consensus(x, _energies(obj, x), float(alpha))
+    return _weighted_consensus(x, *_energies(obj, x), float(alpha))
 
 
-def _step(x, obj, params, c, energies, increments, step, seeds=None):
-    """Positions of state ``step + 1`` from the positions ``x`` of state
-    ``step``, its consensus point ``c`` ((dim,), or (R, dim) per replication
-    of a batch) and its ``energies`` (read only when H is not ConstOne)."""
+def _step(x, out, obj, params, c, energies, increments, step, seeds=None, new_energies=None,
+          blocks=None):
+    """Write the positions of state ``step + 1`` into ``out`` (which may be
+    ``x`` itself) from the positions ``x`` of state ``step``, its consensus
+    point ``c`` ((dim,), or (R, dim) per replication of a batch) and its
+    ``energies`` (read only when H is not ConstOne).
+
+    The update runs one row block at a time (``blocks``, by default
+    ``row_blocks(x.shape)``).  With ``new_energies`` (which may be
+    ``energies`` itself), the energies of each new block are evaluated in
+    the same pass, while the block is still in cache, and their minimum per
+    replication is returned.  Every row is computed as a whole-array step
+    would compute it, so the result does not depend on the block size;
+    errors name the first failing particle of the whole array.
+    """
     if increments.shape != x.shape:
         raise ConfigError(f"increments have shape {increments.shape}, expected {x.shape}")
     c = c[..., None, :]  # broadcasts over the particle axis
-    diff = x - c
-    with np.errstate(over="ignore", invalid="ignore"):
-        drift = (params.dt * params.lam) * diff
-    if not isinstance(params.h_variant, ConstOne):
+    ramp = not isinstance(params.h_variant, ConstOne)
+    if ramp:
         e_c = np.asarray(obj.eval(c), dtype=float)
         bad = ~np.isfinite(e_c)
         if bad.any():
@@ -346,19 +396,34 @@ def _step(x, obj, params, c, energies, increments, step, seeds=None):
                 f"non-finite energy at the consensus point{rep} at step {step}",
                 step=step, seed=seed,
             )
-        drift *= h_eval(params.h_variant, energies - e_c)[..., None]
-
-    # overflow to non-finite coordinates is caught by the divergence guard
-    with np.errstate(over="ignore", invalid="ignore"):
-        dist = np.sqrt((diff * diff).sum(axis=-1))
-        new = x - drift + params.sigma * dist[..., None] * increments
-    if not np.isfinite(new).all():
-        i, seed, rep = _locate(~np.isfinite(new).all(axis=-1), seeds)
+    diverged, mins = False, []
+    for s in blocks or row_blocks(x.shape):
+        xb, new = x[..., s, :], out[..., s, :]
+        # x - dt lam H (x - c) + (sigma |x - c|) inc, with one buffer for
+        # x - c, then the drift, then the noise term
+        diff = xb - c
+        # overflow to non-finite coordinates is caught by the divergence guard
+        with np.errstate(over="ignore", invalid="ignore"):
+            dist = np.sqrt((diff * diff).sum(axis=-1))
+            diff *= params.dt * params.lam
+        if ramp:
+            diff *= h_eval(params.h_variant, energies[..., s] - e_c)[..., None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.subtract(xb, diff, out=new)
+            dist *= params.sigma
+            new += np.multiply(dist[..., None], increments[..., s, :], out=diff)
+        diverged |= not np.isfinite(new).all()
+        if new_energies is not None:
+            mins.append(_eval_rows(obj, new, new_energies, s))
+    if diverged:
+        i, seed, rep = _locate(~np.isfinite(out).all(axis=-1), seeds)
         raise DivergenceError(
             f"non-finite coordinates of particle {i}{rep} after step {step}",
             step=step, particle=i, seed=seed,
         )
-    return new
+    if any(m is None for m in mins):
+        raise _nonfinite_energy(new_energies, step + 1, seeds)
+    return functools.reduce(np.minimum, mins) if mins else None
 
 
 def cbo_step(ens, obj, params, noise=None, increments=None, consensus=None,
@@ -382,9 +447,10 @@ def cbo_step(ens, obj, params, noise=None, increments=None, consensus=None,
         raise ConfigError(f"objective dim {obj.dim} != ensemble dim {d}")
     seeds = getattr(noise, "seeds", None)
     if energies is None and (consensus is None or not isinstance(params.h_variant, ConstOne)):
-        energies = _energies(obj, x, step, seeds)
+        energies, _ = _energies(obj, x, step, seeds)
     if consensus is None:
-        c = _weighted_consensus(x, energies, params.alpha)
+        emin = energies.min(axis=-1, keepdims=True)
+        c = _weighted_consensus(x, energies, emin, params.alpha)
     else:
         c = np.asarray(consensus, dtype=float)
         if c.shape not in ((d,), x.shape[:-2] + (d,)):
@@ -394,7 +460,8 @@ def cbo_step(ens, obj, params, noise=None, increments=None, consensus=None,
         if noise is None:
             raise ConfigError("cbo_step needs a NoiseSource or explicit increments")
         increments = noise.increments(step, *x.shape[-2:], params.dt)
-    new = _step(x, obj, params, c, energies, np.asarray(increments, dtype=float), step, seeds)
+    new = np.empty(x.shape)
+    _step(x, new, obj, params, c, energies, np.asarray(increments, dtype=float), step, seeds)
     return Ensemble(new, time=(step + 1) * params.dt)
 
 
@@ -402,31 +469,57 @@ def states(ens, obj, params, noise, consensus=None):
     """Yield ``(k, positions, energies, consensus)`` for the states k = 0..steps
     reached from ``ens``, evaluating each state's energies and consensus once
     and reusing them in the step to state k + 1 (increments from
-    ``noise.increments(k, n, dim, dt)``).  A pinned ``consensus`` is indexed
-    by k; with ``ConstOne`` it needs no energies and None is yielded.
+    ``noise.increments(k, n, dim, dt, out=inc)``, where ``inc`` is None for
+    the first step and then the array the previous call returned).  A pinned
+    ``consensus`` is indexed by k; with ``ConstOne`` it needs no energies
+    and None is yielded.
 
     A batch, positions (R, n, dim), steps R replications at once, bit for
     bit as R separate runs: energies are then (R, n) and a free consensus
     (R, dim), ``noise`` must give (R, n, dim) increments (a ``NoiseBatch``,
     whose ``seeds`` then name the failing replication in errors), and each
-    pinned consensus entry is shared by every replication.  Yielded arrays
-    are shared, not copies: do not modify them.  ``noise`` holds generator
-    state, so a run in each thread needs its own."""
+    pinned consensus entry is shared by every replication.
+
+    The step and the next state's energies run over cache-sized row blocks
+    (``metrics.row_blocks``) in one pass, so ``obj.eval`` is called once per
+    block and must compute each row's energy from that row alone.  The
+    pass works in a workspace that lives from the first step until the last
+    state is reached: the positions and energies are updated in place, and
+    each step's increments are drawn into the array of the step before,
+    which the iterator keeps and ``noise`` wrote (a ``NoiseBatch`` stepped
+    by two iterators in lockstep hands both the same one).  So the
+    yielded positions and energies stay valid only until the iterator is
+    resumed; copy them to keep them, and do not modify them.  The positions
+    of state 0 are the caller's array, which is never written.  A yielded
+    consensus is a new array (or the pinned entry) each state.  ``noise``
+    holds generator state, so a run in each thread needs its own."""
     if obj.dim != ens.dim:
         raise ConfigError(f"objective dim {obj.dim} != ensemble dim {ens.dim}")
     x, ens = ens.positions, None  # no reference to state 0 outlives its step
     n, d = x.shape[-2:]
     seeds = getattr(noise, "seeds", None)
-    if consensus is not None:
+    blocks = row_blocks(x.shape)
+    free = consensus is None
+    if not free:
         consensus = np.asarray(consensus, dtype=float)
-    need_energies = consensus is None or not isinstance(params.h_variant, ConstOne)
+    e = emin = None
+    if free or not isinstance(params.h_variant, ConstOne):
+        e, emin = _energies(obj, x, 0, seeds, blocks)
+    inc = w = xw = None
     for k in range(params.steps + 1):
         if k:
-            # increments passed inline: no local keeps them alive past the step
-            x = _step(x, obj, params, c, e, noise.increments(k - 1, n, d, params.dt),
-                      k - 1, seeds)
-        e = _energies(obj, x, k, seeds) if need_energies else None
-        c = _weighted_consensus(x, e, params.alpha) if consensus is None else consensus[k]
+            new = x
+            if k == 1:  # the workspace; the caller's state 0 stays as it is
+                new = np.empty(x.shape)
+                if free:
+                    w, xw = np.empty(x.shape[:-1]), np.empty(x.shape)
+            # each draw goes into the array the previous one came in
+            inc = noise.increments(k - 1, n, d, params.dt, out=inc)
+            emin = _step(x, new, obj, params, c, e, inc, k - 1, seeds, e, blocks)
+            x = new
+        c = _weighted_consensus(x, e, emin, params.alpha, w, xw) if free else consensus[k]
+        if k == params.steps:
+            inc = w = xw = None  # the last state holds only its positions and energies
         yield k, x, e, c
 
 
@@ -470,10 +563,12 @@ def simulate(dist, obj, params, record=RecordingPlan(), stream=0):
     run = states(sample_initial(dist, params.n_particles, params.dim, params.seed, stream),
                  obj, params, NoiseSource(params.seed, stream))
     records = []
+    work = np.empty(params.n_particles)  # the per-particle terms of every record
     try:
         for k, x, _, c in run:
             if k % record.stride == 0:
-                records.append(snapshot(k * params.dt, x, obj.minimizer, c, record.ball_radii))
+                records.append(snapshot(k * params.dt, x, obj.minimizer, c, record.ball_radii,
+                                        work))
     except SimulationError as err:
         if records:
             err.partial_series = MetricsSeries(records, None, digest)

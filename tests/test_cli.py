@@ -55,6 +55,23 @@ class TestConfigErrors:
     def test_missing_file_exit_2(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "nope.json")]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("params", "steps", 5.7),
+        ("recording", "stride", 2.5),
+        ("params", "n_particles", True),
+        ("params", "alpha", "1e3"),
+        ("init", "mean", ["abc"]),
+        ("init", "mean", [math.nan]),
+        ("objective", "dim", True),
+    ])
+    def test_bad_value_exit_2_names_key(self, tmp_path, capsys, section, key, value):
+        # no silent coercion and no traceback: exit 2 naming the key
+        cfg = base_config(tmp_path)
+        cfg[section][key] = value
+        assert cli.main(["run", write_config(tmp_path, cfg)]) == cli.EXIT_CONFIG
+        assert f"{section}.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestRun:
     def test_zero_steps_single_data_row(self, tmp_path):

@@ -401,8 +401,11 @@ class TestBatchedStates:
         if pinned:
             consensus = np.linspace(1.0, 0.2, p.steps + 1)[:, None] * np.ones(dim)
         inits = [engine.sample_initial(dist, self.N, dim, s) for s in self.SEEDS]
+        # a yielded array is valid only until the iterator resumes: keep copies
         separate = [
-            list(engine.states(ens, obj, p, engine.NoiseSource(s), consensus=consensus))
+            [(k, x.copy(), None if e is None else e.copy(), c.copy())
+             for k, x, e, c in engine.states(ens, obj, p, engine.NoiseSource(s),
+                                             consensus=consensus)]
             for ens, s in zip(inits, self.SEEDS)
         ]
         batch = engine.Ensemble(np.stack([ens.positions for ens in inits]))
@@ -437,6 +440,152 @@ class TestBatchedStates:
         with pytest.raises(NumericDomainError) as err:
             engine.cbo_step(batch, obj, p, engine.NoiseBatch(self.SEEDS), step=4)
         assert (err.value.step, err.value.particle, err.value.seed) == (4, 7, 12)
+
+
+def two_pass_states(ens, obj, p, noise, consensus=None):
+    """Reference: a plain loop of cbo_step, each state's energies and a
+    separate consensus_point evaluation; copies of every state."""
+    need_energies = consensus is None or not isinstance(p.h_variant, engine.ConstOne)
+    out = []
+    for k in range(p.steps + 1):
+        if k:
+            pinned = None if consensus is None else consensus[k - 1]
+            ens = engine.cbo_step(ens, obj, p, noise, consensus=pinned, step=k - 1)
+        x = ens.positions
+        e = obj.eval(x) if need_energies else None
+        c = engine.consensus_point(ens, obj, p.alpha) if consensus is None else consensus[k]
+        out.append((k, x.copy(), e, c))
+    return out
+
+
+def nan_on_row(obj, marker, from_eval):
+    """``obj``, except that a row equal to ``marker`` gets a NaN energy from
+    its evaluation number ``from_eval`` (0-based) on, whatever the blocks."""
+    seen = []
+
+    def eval_(v):
+        e = np.array(obj.eval(v), dtype=float)
+        hit = (np.asarray(v) == marker).all(axis=-1)
+        if hit.any():
+            if len(seen) >= from_eval:
+                e[hit] = math.nan
+            seen.append(1)
+        return e
+
+    return dataclasses.replace(obj, eval=eval_)
+
+
+class TestBlocks:
+    """The step runs over blocks of about ``metrics.BLOCK_ROWS`` rows
+    (particles times replications); results must not depend on where
+    blocks end."""
+
+    SEEDS = (21, 22, 23)
+
+    @pytest.mark.parametrize("block", [64, metrics.BLOCK_ROWS])
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("h", [engine.CONST_ONE, engine.RampHeaviside(0.5)])
+    @pytest.mark.parametrize("pinned", [False, True])
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_states_equal_whole_array_loop(self, monkeypatch, block, dim, h, pinned, batch):
+        per = block // len(self.SEEDS) if batch else block  # particles per block
+        n = 2 * per + per // 2 + 1  # three blocks, the last one partial
+        p = engine.CboParams(lam=1.0, sigma=0.5, alpha=30.0, dt=0.05, steps=4,
+                             n_particles=n, dim=dim, h_variant=h, seed=self.SEEDS[0])
+        obj = objectives.rastrigin(dim)
+        dist = engine.GaussianIsotropic((1.0,) * dim, 0.8)
+        consensus = None
+        if pinned:
+            consensus = np.linspace(1.0, 0.2, p.steps + 1)[:, None] * np.ones(dim)
+        seeds = self.SEEDS if batch else self.SEEDS[:1]
+        x0 = np.stack([engine.sample_initial(dist, n, dim, s).positions for s in seeds])
+        if not batch:
+            x0 = x0[0]
+        x0_before = x0.copy()
+
+        def noise():
+            return engine.NoiseBatch(seeds) if batch else engine.NoiseSource(seeds[0])
+
+        # the reference steps the whole array as one block
+        monkeypatch.setattr(metrics, "BLOCK_ROWS", 10**9)
+        want = two_pass_states(engine.Ensemble(x0), obj, p, noise(), consensus)
+        monkeypatch.setattr(metrics, "BLOCK_ROWS", block)
+        assert len(metrics.row_blocks(x0.shape)) == 3
+        got = engine.states(engine.Ensemble(x0), obj, p, noise(), consensus=consensus)
+        for (k, x, e, c), (kw, xw, ew, cw) in zip(got, want, strict=True):
+            assert k == kw
+            assert np.array_equal(x, xw)
+            assert np.array_equal(c, cw)
+            assert (e is None and ew is None) or np.array_equal(e, ew)
+        assert np.array_equal(x0, x0_before)  # the caller's state 0 is never written
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_nonfinite_energy_past_first_block(self, monkeypatch, batch):
+        monkeypatch.setattr(metrics, "BLOCK_ROWS", 64)
+        n, particle = 300, 250  # the fourth block of 64 rows
+        x = np.random.default_rng(3).uniform(-1, 1, (len(self.SEEDS), n, 1) if batch else (n, 1))
+        row = x[1, particle] if batch else x[particle]
+        # lam = sigma = 0: positions stay put, so the marked row is hit once per state
+        p = engine.CboParams(lam=0.0, sigma=0.0, alpha=1.0, dt=0.1, steps=5,
+                             n_particles=n, dim=1, seed=self.SEEDS[0])
+        obj = nan_on_row(objectives.rastrigin(1), row, from_eval=3)
+        noise = engine.NoiseBatch(self.SEEDS) if batch else engine.NoiseSource(p.seed)
+        with pytest.raises(NumericDomainError) as err:
+            list(engine.states(engine.Ensemble(x), obj, p, noise))
+        want_seed = self.SEEDS[1] if batch else None
+        assert (err.value.step, err.value.particle, err.value.seed) == (3, particle, want_seed)
+        assert f"particle {particle}" in str(err.value) and "step 3" in str(err.value)
+        if batch:
+            assert f"seed {self.SEEDS[1]}" in str(err.value)
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_divergence_past_first_block(self, monkeypatch, batch):
+        monkeypatch.setattr(metrics, "BLOCK_ROWS", 64)
+        n, particle = 300, 250
+        x = np.zeros((len(self.SEEDS), n, 1) if batch else (n, 1))
+        # pinned at 0, each step multiplies the particle by 1 - 1e100:
+        # 1e10 -> -1e110 -> 1e210 -> -inf in the step from state 2
+        (x[1] if batch else x)[particle] = 1e10
+        p = engine.CboParams(lam=1e100, sigma=0.0, alpha=1.0, dt=1.0, steps=5,
+                             n_particles=n, dim=1, seed=self.SEEDS[0])
+        noise = engine.NoiseBatch(self.SEEDS) if batch else engine.NoiseSource(p.seed)
+        with pytest.raises(DivergenceError) as err:
+            list(engine.states(engine.Ensemble(x), objectives.rastrigin(1), p, noise,
+                               consensus=np.zeros((p.steps + 1, 1))))
+        want_seed = self.SEEDS[1] if batch else None
+        assert (err.value.step, err.value.particle, err.value.seed) == (2, particle, want_seed)
+        assert f"particle {particle}" in str(err.value) and "step 2" in str(err.value)
+
+
+class TestMaskedExp:
+    @pytest.mark.parametrize("alpha", [1.0, 3.7, 1e15])
+    def test_weights_bitwise_np_exp(self, alpha):
+        # arguments -alpha (e - min e) over [-800, 0], densely within 1 of
+        # -745.13 where exp starts to round to 0, kept and dropped entries
+        # interleaved at random, in an (R, n) batch
+        args = np.concatenate([np.linspace(-800.0, 0.0, 4001),
+                               np.linspace(-746.13, -744.13, 4001)])
+        rng = np.random.default_rng(8)
+        e = rng.permutation(-args / alpha)[:8000].reshape(4, 2000)
+        e[:, 0] = 0.0  # every replication holds its minimum
+        emin = e.min(axis=-1, keepdims=True)
+        got = engine._weights(e, emin, alpha)
+        want = np.exp(-alpha * (e - emin))
+        kept = want > 0
+        assert kept.any() and not kept.all() and not np.array_equal(kept, np.sort(kept))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))  # signed zeros too
+        out = np.full_like(e, np.nan)
+        assert engine._weights(e, emin, alpha, out=out) is out
+        assert np.array_equal(out.view(np.int64), want.view(np.int64))
+
+    def test_weights_above_cutoff_bitwise_np_exp(self):
+        # no argument below the cutoff: exp runs unmasked, across the values
+        # where it rounds to the smallest subnormal and to 0
+        e = np.random.default_rng(9).permutation(np.linspace(0.0, 745.9, 3000)).reshape(3, 1000)
+        emin = e.min(axis=-1, keepdims=True)
+        want = np.exp(-(e - emin))
+        assert (want == 0).any() and (want > 0).any()
+        assert np.array_equal(engine._weights(e, emin, 1.0).view(np.int64), want.view(np.int64))
 
 
 class TestSimulate:
