@@ -5,15 +5,16 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 
+from .errors import ConfigError
+
 
 def worker_cap():
     env = os.environ.get("CBO_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    if not (env.isascii() and env.isdigit() and int(env) > 0):
+        raise ConfigError(f"CBO_THREADS: expected a positive integer, got {env!r}")
+    return int(env)
 
 
 def thread_map(fn, items):

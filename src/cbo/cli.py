@@ -1,10 +1,22 @@
 """Command-line entry point: run configs, experiment presets, CSV output,
 theory reports.
 
-Exit codes: 0 success, 2 config error, 3 divergence, 4 theory-precondition
-failure.  The laplace-audit preset exits 1 when the audit finds violations.
-The worker count of the fig-variance and fig-trajectories fan-out is capped
-by the CBO_THREADS environment variable; mfa-sweep runs in one thread.
+``PRESETS`` holds each preset's function and its options, each with type,
+default and lower bound; ``read_block`` reads every config block.  Options
+by JSON block (``cbo run`` with ``"preset": "fig_variance"`` etc. reads the
+same block, and ``params`` sets seed, steps and dt):
+
+    cbo preset fig-variance      fig_variance: --scale; --full, --seed, --steps, --out
+    cbo preset fig-trajectories  fig_trajectories: --runs, --n; --full, --seed, --steps, --out
+    cbo preset mfa-sweep         mfa: n_values, n_ref, n_seeds, seed0, m_factor
+    cbo preset laplace-audit     audit: measures, seed, max_n, min_inside
+    cbo theory                   theory: eps, tau, r, b_bound, q_laplace, sample_n
+
+Exit codes: 0 success, 1 the laplace audit found violations, 2 config error
+(a missing, mistyped or out-of-range value in any block, named by its key,
+or a CBO_THREADS that is not a positive integer), 3 divergence, 4
+theory-precondition failure.  CBO_THREADS caps the worker count of the
+fig-variance and fig-trajectories fan-out; mfa-sweep runs in one thread.
 """
 
 from __future__ import annotations
@@ -13,11 +25,10 @@ import argparse
 import csv
 import itertools
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -38,7 +49,6 @@ FIG_VARIANCE_MEANS = (1.0, 2.0, 3.0, 4.0)
 FIG_VARIANCE_VAR = 0.8
 
 # fig-trajectories experiment: 2-D Rastrigin, Gaussian starts N((8, 8), 20)
-FIG_TRAJ_FULL_N = 32_000
 FIG_TRAJ_MEAN = (8.0, 8.0)
 FIG_TRAJ_VAR = 20.0
 FIG_TRAJ_TRACKED = ((-2.0, 4.0), (-1.5, -1.5), (4.5, 1.5))
@@ -46,38 +56,76 @@ FIG_TRAJ_CHORD_TOL = 0.15
 
 
 # ---------------------------------------------------------------------------
-# config parsing
+# typed config reader
 
 _MISSING = object()
 
 
-def _get(cfg, key, ctx, default=_MISSING):
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{ctx}: expected an object")
-    if key not in cfg:
-        if default is _MISSING:
-            raise ConfigError(f"{ctx}: missing required key {key!r}")
-        return default
-    return cfg[key]
-
-
 def _json_int(value, ctx):
     # a JSON integer; bool is an int subclass but not a count
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{ctx}: expected an integer, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, int) or not -2**63 <= value < 2**64:
+        raise ConfigError(f"{ctx}: expected a 64-bit integer, got {value!r}")
     return value
 
 
 def _json_finite(value, ctx):
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    # NaN fails the bound, and an int beyond the float range compares exactly
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and abs(value) <= sys.float_info.max):
         raise ConfigError(f"{ctx}: expected a finite number, got {value!r}")
     return float(value)
 
 
-def _json_vector(value, ctx):
-    if not isinstance(value, list):
-        raise ConfigError(f"{ctx}: expected a list of finite numbers, got {value!r}")
-    return tuple(_json_finite(v, ctx) for v in value)
+def _json_list(item):
+    """Reader of a JSON list whose entries pass ``item``."""
+    def read(value, ctx):
+        if not isinstance(value, list):
+            raise ConfigError(f"{ctx}: expected a list, got {value!r}")
+        return tuple(item(v, ctx) for v in value)
+    return read
+
+
+_json_vector = _json_list(_json_finite)
+
+
+def _json_str(value, ctx):
+    if not isinstance(value, str):
+        raise ConfigError(f"{ctx}: expected a string, got {value!r}")
+    return value
+
+
+def _json_path(value, ctx):
+    return Path(_json_str(value, ctx))
+
+
+class Opt(NamedTuple):
+    """A config value: key (``--key`` as a flag), reader, default (required
+    if absent; None: derived where used) and inclusive lower bound."""
+
+    key: str
+    read: object
+    default: object = _MISSING
+    lo: object = None
+
+
+def read_block(cfg, ctx, opts):
+    """The typed values of block ``ctx`` ("" for the top level), by key.  An
+    absent key takes its default; a present value must pass its reader and
+    lower bound, but null stands for a default of None."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{ctx or 'config'}: expected an object, got {cfg!r}")
+    values = {}
+    for opt in opts:
+        name = f"{ctx}.{opt.key}" if ctx else opt.key
+        value = cfg.get(opt.key, opt.default)
+        if value is _MISSING:
+            raise ConfigError(f"{ctx or 'config'}: missing required key {opt.key!r}")
+        if opt.key in cfg and not (value is None and opt.default is None):
+            value = opt.read(value, name)
+            if opt.lo is not None and value < opt.lo:
+                raise ConfigError(f"{name}: must be >= {opt.lo}, got {value!r}")
+        values[opt.key] = value
+    return values
 
 
 def load_config(path):
@@ -92,73 +140,50 @@ def load_config(path):
         raise ConfigError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
 
 
-def parse_objective(cfg):
-    name = _get(cfg, "name", "objective")
-    dim = _json_int(_get(cfg, "dim", "objective"), "objective.dim")
-    kwargs = {}
-    if name == "quadratic" and "center" in cfg:
-        kwargs["center"] = cfg["center"]
-    try:
-        return objectives.by_name(name, dim, **kwargs)
-    except CboError:
-        raise
-    except Exception as err:  # bad types from JSON
-        raise ConfigError(f"objective: {err}") from err
+def parse_objective(cfg, ctx="objective"):
+    v = read_block(cfg, ctx, (
+        Opt("name", _json_str), Opt("dim", _json_int), Opt("center", _json_vector, None),
+    ))
+    if v["name"] != "quadratic" or v["center"] is None:
+        del v["center"]
+    return objectives.by_name(**v)
 
 
-def parse_init(cfg):
-    kind = _get(cfg, "kind", "init")
+def parse_init(cfg, ctx="init"):
+    kind = read_block(cfg, ctx, (Opt("kind", _json_str),))["kind"]
     if kind == "gaussian":
-        return engine.GaussianIsotropic(
-            _json_vector(_get(cfg, "mean", "init"), "init.mean"),
-            _json_finite(_get(cfg, "variance", "init"), "init.variance"),
-        )
+        opts = (Opt("mean", _json_vector), Opt("variance", _json_finite))
+        return engine.GaussianIsotropic(**read_block(cfg, ctx, opts))
     if kind == "uniform":
-        return engine.UniformBox(
-            _json_vector(_get(cfg, "lo", "init"), "init.lo"),
-            _json_vector(_get(cfg, "hi", "init"), "init.hi"),
-        )
-    raise ConfigError(f"init.kind: unknown kind {kind!r} (gaussian|uniform)")
+        opts = (Opt("lo", _json_vector), Opt("hi", _json_vector))
+        return engine.UniformBox(**read_block(cfg, ctx, opts))
+    raise ConfigError(f"{ctx}.kind: unknown kind {kind!r} (gaussian|uniform)")
 
 
-def _parse_h(value):
+def _json_h(value, ctx):
     if value in (None, "const_one"):
         return engine.CONST_ONE
     if isinstance(value, dict) and value.get("kind") == "ramp_heaviside":
-        return engine.RampHeaviside(_json_finite(_get(value, "delta", "params.h"), "params.h.delta"))
-    raise ConfigError(
-        f"params.h: expected 'const_one' or {{'kind': 'ramp_heaviside', 'delta': ...}}, "
-        f"got {value!r}"
-    )
+        return engine.RampHeaviside(read_block(value, ctx, (Opt("delta", _json_finite),))["delta"])
+    raise ConfigError(f"{ctx}: expected 'const_one' or "
+                      f"{{'kind': 'ramp_heaviside', 'delta': ...}}, got {value!r}")
 
 
-def parse_params(cfg):
-    def number(key):
-        return _json_finite(_get(cfg, key, "params"), f"params.{key}")
-
-    def count(key, *default):
-        return _json_int(_get(cfg, key, "params", *default), f"params.{key}")
-
-    return engine.CboParams(
-        lam=number("lambda"),
-        sigma=number("sigma"),
-        alpha=number("alpha"),
-        dt=number("dt"),
-        steps=count("steps"),
-        n_particles=count("n_particles"),
-        dim=count("dim"),
-        h_variant=_parse_h(cfg.get("h")),
-        seed=count("seed", 0),
-    )
+def parse_params(cfg, ctx="params"):
+    v = read_block(cfg, ctx, (
+        *(Opt(key, _json_finite) for key in ("lambda", "sigma", "alpha", "dt")),
+        *(Opt(key, _json_int) for key in ("steps", "n_particles", "dim")),
+        Opt("h", _json_h, engine.CONST_ONE),
+        Opt("seed", _json_int, engine.CboParams.seed),
+    ))
+    return engine.CboParams(lam=v.pop("lambda"), h_variant=v.pop("h"), **v)
 
 
-def parse_recording(cfg):
-    if cfg is None:
-        return RecordingPlan()
-    return RecordingPlan(
-        stride=_json_int(_get(cfg, "stride", "recording", 1), "recording.stride"),
-        ball_radii=_json_vector(_get(cfg, "ball_radii", "recording", []), "recording.ball_radii"),
-    )
+def parse_recording(cfg, ctx="recording"):
+    return RecordingPlan(**read_block(cfg, ctx, (
+        Opt("stride", _json_int, RecordingPlan.stride),
+        Opt("ball_radii", _json_vector, RecordingPlan.ball_radii),
+    )))
 
 
 @dataclass
@@ -167,23 +192,23 @@ class RunConfig:
     init: engine.InitDistribution
     params: engine.CboParams
     recording: RecordingPlan
-    outputs: Path
+    outputs: Optional[Path]
     preset: Optional[str]
     raw: dict
 
 
-def parse_run_config(raw):
-    obj = parse_objective(_get(raw, "objective", "config"))
-    params = parse_params(_get(raw, "params", "config"))
+def parse_run_config(raw, outputs=Path("out")):
+    """The objective/params/init/recording/outputs/preset keys of a config."""
+    v = read_block(raw, "", (
+        Opt("objective", parse_objective), Opt("params", parse_params),
+        Opt("init", parse_init), Opt("recording", parse_recording, None),
+        Opt("outputs", _json_path, outputs), Opt("preset", _json_str, None),
+    ))
+    obj, params = v["objective"], v["params"]
     if params.dim != obj.dim:
-        raise ConfigError(
-            f"params.dim = {params.dim} does not match objective.dim = {obj.dim}"
-        )
-    init = parse_init(_get(raw, "init", "config"))
-    plan = parse_recording(raw.get("recording"))
-    outputs = Path(_get(raw, "outputs", "config", "out"))
-    preset = raw.get("preset")
-    return RunConfig(obj, init, params, plan, outputs, preset, raw)
+        raise ConfigError(f"params.dim = {params.dim} does not match objective.dim = {obj.dim}")
+    return RunConfig(obj, v["init"], params, v["recording"] or RecordingPlan(),
+                     v["outputs"], v["preset"], raw)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +229,6 @@ def _fmt(x):
 
 def write_metrics_csv(path, series, radii):
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     header = ["t", "v_func", "variance", "w2_sq", "consensus_dist"]
     header += [f"ball_mass_{_fmt(float(r))}" for r in radii]
     header.append("moment4")
@@ -217,6 +241,7 @@ def write_metrics_csv(path, series, radii):
 
 
 def _write_csv(path, header, rows):
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -290,12 +315,7 @@ def run_simulation(cfg):
 # preset: fig-variance
 
 
-def _variance_bump(series, t_max=0.5):
-    var0 = series.records[0].variance
-    return any(r.variance > var0 for r in series.records if 0.0 < r.t <= t_max)
-
-
-def preset_fig_variance(out_dir, scale=1.0 / 16.0, seed=1, steps=400, dt=0.01):
+def preset_fig_variance(out_dir, scale, seed, steps, dt=0.01):
     """Variance vs V-functional decay on the 1-D Rastrigin objective, one
     run per initial mean; N is the full 320000 scaled by ``scale``."""
     if not 0.0 < scale <= 1.0:
@@ -328,20 +348,18 @@ def preset_fig_variance(out_dir, scale=1.0 / 16.0, seed=1, steps=400, dt=0.01):
         tag = f"mu{int(mu)}"
         write_metrics_csv(out_dir / tag / "metrics.csv", result.series, plan.ball_radii)
         rate, window = _fitted_rate(result.series)
+        var0 = result.series.records[0].variance
+        bump = any(r.variance > var0 for r in result.series.records if 0.0 < r.t <= 0.5)
         sub = {
             "mu": mu,
             "seed": params.seed,
             "endpoint_error": result.series.endpoint_error,
             "config_digest": result.series.config_digest,
-            "var_exceeds_initial_by_t0.5": _variance_bump(result.series),
+            "var_exceeds_initial_by_t0.5": bump,
+            "fitted_v_decay_rate": f"unavailable ({window})" if rate is None else rate,
         }
-        if rate is None:
-            sub["fitted_v_decay_rate"] = f"unavailable ({window})"
-            summary[f"fitted_rate_{tag}"] = "unavailable"
-        else:
-            sub["fitted_v_decay_rate"] = rate
-            summary[f"fitted_rate_{tag}"] = rate
-        summary[f"var_bump_{tag}"] = sub["var_exceeds_initial_by_t0.5"]
+        summary[f"fitted_rate_{tag}"] = "unavailable" if rate is None else rate
+        summary[f"var_bump_{tag}"] = bump
         write_summary(out_dir / tag / "summary.txt", sub)
     write_summary(out_dir / "summary.txt", summary)
     return EXIT_OK
@@ -367,12 +385,10 @@ def chord_deviation(points, start, target):
     return float(orth.max()) / length
 
 
-def preset_fig_trajectories(out_dir, runs=100, n=4000, seed=1, steps=600, dt=0.01):
+def preset_fig_trajectories(out_dir, runs, n, seed, steps, dt=0.01):
     """Mean trajectories of three tracked agents on the 2-D Rastrigin
-    objective, averaged over repeated runs; the tracked agents join the
-    ensemble and participate in the dynamics."""
-    if runs < 2:
-        raise ConfigError(f"need runs >= 2, got {runs}")
+    objective, averaged over ``runs`` >= 2 repeated runs; the tracked agents
+    join the ensemble and participate in the dynamics."""
     out_dir = Path(out_dir)
     obj = objectives.rastrigin(2)
     dist = engine.GaussianIsotropic(FIG_TRAJ_MEAN, FIG_TRAJ_VAR)
@@ -395,7 +411,6 @@ def preset_fig_trajectories(out_dir, runs=100, n=4000, seed=1, steps=600, dt=0.0
     mean_traj = trajs.mean(axis=0)                       # (K+1, 3, 2)
     times = np.arange(steps + 1) * dt
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     agents, ks = range(len(tracked)), range(steps + 1)
     _write_csv(out_dir / "trajectories.csv", ["run", "agent", "t", "x", "y"], (
         [r, a, float(times[k]), float(trajs[r, k, a, 0]), float(trajs[r, k, a, 1])]
@@ -427,59 +442,39 @@ def preset_fig_trajectories(out_dir, runs=100, n=4000, seed=1, steps=600, dt=0.0
 
 
 # ---------------------------------------------------------------------------
-# preset: mfa-sweep
+# presets that read a JSON config: mfa-sweep, laplace-audit
 
 
-def run_mfa_sweep(raw, out_dir):
-    obj = parse_objective(_get(raw, "objective", "config"))
-    params = parse_params(_get(raw, "params", "config"))
-    init = parse_init(_get(raw, "init", "config"))
-    mcfg = _get(raw, "mfa", "config")
-    n_values = _get(mcfg, "n_values", "mfa")
-    if not isinstance(n_values, list):
-        raise ConfigError(f"mfa.n_values: expected a list of integers, got {n_values!r}")
-    n_values = [_json_int(x, "mfa.n_values") for x in n_values]
-    n_ref = _json_int(_get(mcfg, "n_ref", "mfa"), "mfa.n_ref")
-    n_seeds = _json_int(_get(mcfg, "n_seeds", "mfa"), "mfa.n_seeds")
-    seed0 = _json_int(_get(mcfg, "seed0", "mfa", params.seed + 1), "mfa.seed0")
-    m_factor = _json_finite(_get(mcfg, "m_factor", "mfa", 10.0), "mfa.m_factor")
+def run_mfa_sweep(out_dir, cfg, n_values, n_ref, n_seeds, seed0, m_factor):
+    """The 1/N mean-field sweep of run config ``cfg``; seed0 defaults to params.seed + 1."""
+    seed0 = cfg.params.seed + 1 if seed0 is None else seed0
     seeds = [seed0 + i for i in range(n_seeds)]
-    result = mfa.mfa_sweep(init, obj, params, n_values, n_ref, seeds, m_factor)
+    result = mfa.mfa_sweep(cfg.init, cfg.objective, cfg.params, n_values, n_ref, seeds, m_factor)
 
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out_dir / "sweep.csv",
         ["n", "err_sup", "err_sup_conditional", "exceed_fraction", "seeds"],
         ([run.n, run.err_sup, run.err_sup_conditional, run.exceed_fraction, len(run.seeds)]
          for run in result.runs),
     )
-    write_summary(
-        out_dir / "summary.txt",
-        {
-            "preset": "mfa-sweep",
-            "slope": result.slope,
-            "m_threshold": result.m_threshold,
-            "n_ref": n_ref,
-            "n_seeds": n_seeds,
-            "reference_moment4_sup": result.reference.moment4_sup,
-        },
-    )
+    write_summary(out_dir / "summary.txt", {
+        "preset": "mfa-sweep",
+        "slope": result.slope,
+        "m_threshold": result.m_threshold,
+        "n_ref": n_ref,
+        "n_seeds": n_seeds,
+        "reference_moment4_sup": result.reference.moment4_sup,
+    })
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# preset: laplace-audit
-
-
-def run_laplace_audit(raw, out_dir):
-    acfg = raw.get("audit", {})
-    result = theory.laplace_audit(
-        n_measures=int(_get(acfg, "measures", "audit", 1000)),
-        seed=int(_get(acfg, "seed", "audit", 2024)),
-        max_n=int(_get(acfg, "max_n", "audit", 500)),
-        min_inside=int(_get(acfg, "min_inside", "audit", 30)),
-    )
+def run_laplace_audit(out_dir, measures, seed, max_n, min_inside):
+    if max_n < 2 * min_inside:
+        raise ConfigError(f"audit.max_n: must be >= 2 * min_inside = {2 * min_inside}, "
+                          f"got {max_n}")
+    result = theory.laplace_audit(n_measures=measures, seed=seed, max_n=max_n,
+                                  min_inside=min_inside)
     items = {
         "preset": "laplace-audit",
         "checked": result.checked,
@@ -488,60 +483,90 @@ def run_laplace_audit(raw, out_dir):
         "tightness_mean": result.tightness_mean,
         "tightness_max": result.tightness_max,
     }
-    out_dir = Path(out_dir)
-    write_summary(out_dir / "report.txt", items)
-    for k, v in items.items():
-        print(f"{k} = {_fmt(v)}")
+    write_summary(Path(out_dir) / "report.txt", items)
+    print("\n".join(f"{k} = {_fmt(v)}" for k, v in items.items()))
     return EXIT_OK if result.violations == 0 else EXIT_AUDIT_FAILED
+
+
+# ---------------------------------------------------------------------------
+# preset registry
+
+
+class Preset(NamedTuple):
+    """A preset's function and the spec of the options in its JSON ``block``.
+    A preset with ``flags`` takes both on the command line, where ``--full``
+    sets ``full``, and through ``cbo run`` ``params`` sets the flags and dt.
+    One without reads a JSON config; ``run_config`` passes it the run config."""
+
+    run: object
+    block: str
+    options: tuple
+    flags: tuple = ()
+    full: Optional[dict] = None
+    run_config: bool = False
+
+
+PRESETS = {  # by JSON name; the command line spells "_" as "-"
+    "fig_variance": Preset(
+        preset_fig_variance, "fig_variance",
+        (Opt("scale", _json_finite, 1.0 / 16.0),),
+        flags=(Opt("seed", _json_int, 1), Opt("steps", _json_int, 400)),
+        full={"scale": 1.0},
+    ),
+    "fig_trajectories": Preset(
+        preset_fig_trajectories, "fig_trajectories",
+        (Opt("runs", _json_int, 100, lo=2), Opt("n", _json_int, 4000, lo=1)),
+        flags=(Opt("seed", _json_int, 1), Opt("steps", _json_int, 600)),
+        full={"n": 32_000},
+    ),
+    "mfa_sweep": Preset(
+        run_mfa_sweep, "mfa",
+        (Opt("n_values", _json_list(_json_int)), Opt("n_ref", _json_int), Opt("n_seeds", _json_int),
+         Opt("seed0", _json_int, None), Opt("m_factor", _json_finite, 10.0)),
+        run_config=True,
+    ),
+    "laplace_audit": Preset(
+        run_laplace_audit, "audit",
+        (Opt("measures", _json_int, 1000, lo=1), Opt("seed", _json_int, 2024, lo=0),
+         Opt("max_n", _json_int, 500), Opt("min_inside", _json_int, 30, lo=1)),
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
 # theory report
 
 
-def run_theory(raw):
-    obj = parse_objective(_get(raw, "objective", "config"))
-    params = parse_params(_get(raw, "params", "config"))
-    init = parse_init(_get(raw, "init", "config"))
-    tcfg = _get(raw, "theory", "config", {})
-    eps = float(_get(tcfg, "eps", "theory", 0.01))
-    tau = float(_get(tcfg, "tau", "theory", 0.1))
-    r = tcfg.get("r")
-    b_bound = tcfg.get("b_bound")
-    q_laplace = tcfg.get("q_laplace")
-    sample_n = int(_get(tcfg, "sample_n", "theory", params.n_particles))
-
-    ens0 = engine.sample_initial(init, sample_n, params.dim, params.seed)
+def run_theory(cfg):
+    obj, params = cfg.objective, cfg.params
+    t = read_block(cfg.raw.get("theory", {}), "theory", (
+        Opt("eps", _json_finite, 0.01), Opt("tau", _json_finite, 0.1),
+        *(Opt(key, _json_finite, None) for key in ("r", "b_bound", "q_laplace")),
+        Opt("sample_n", _json_int, None, lo=1),
+    ))
+    sample_n = params.n_particles if t["sample_n"] is None else t["sample_n"]
+    ens0 = engine.sample_initial(cfg.init, sample_n, params.dim, params.seed)
     report = theory.build_theory_report(
-        obj, params, ens0, eps=eps, tau=tau,
-        r=None if r is None else float(r),
-        b_bound=None if b_bound is None else float(b_bound),
-        q_laplace=None if q_laplace is None else float(q_laplace),
+        obj, params, ens0, eps=t["eps"], tau=t["tau"],
+        r=t["r"], b_bound=t["b_bound"], q_laplace=t["q_laplace"],
     )
-    lines = [
-        f"objective = {obj.name}",
-        f"dim = {obj.dim}",
-        f"c = {_fmt(report.c)}",
-        "q = infinite (sigma=0)" if report.q_rate is None else f"q = {_fmt(report.q_rate)}",
-        f"t_star = {_fmt(report.t_star)}",
-        "alpha0 = undefined (see notes)" if report.alpha0 is None
-        else f"alpha0 = {_fmt(report.alpha0)}",
-        f"b1 = {_fmt(report.b1)}",
-        f"b2 = {_fmt(report.b2)}",
-        f"laplace_rhs = {_fmt(report.laplace_rhs)}",
-        f"wellprep_cond1 = {_fmt(report.wellprep_cond1)} "
-        f"(margin = {_fmt(report.margins['wellprep_cond1'])})",
-        f"wellprep_cond2 = {_fmt(report.wellprep_cond2)} "
-        f"(margin = {_fmt(report.margins['wellprep_cond2'])})",
-        f"var_concentration_margin = {_fmt(report.margins['var_bound'])}",
-    ]
-    lines += [f"note = {n}" for n in report.notes]
-    text = "\n".join(lines)
+    margin = report.margins
+    items = {
+        "objective": obj.name, "dim": obj.dim, "c": report.c,
+        "q": "infinite (sigma=0)" if report.q_rate is None else report.q_rate,
+        "t_star": report.t_star,
+        "alpha0": "undefined (see notes)" if report.alpha0 is None else report.alpha0,
+        "b1": report.b1, "b2": report.b2, "laplace_rhs": report.laplace_rhs,
+        **{cond: f"{_fmt(getattr(report, cond))} (margin = {_fmt(margin[cond])})"
+           for cond in ("wellprep_cond1", "wellprep_cond2")},
+        "var_concentration_margin": margin["var_bound"],
+    }
+    lines = [f"{k} = {_fmt(v)}" for k, v in items.items()]
+    text = "\n".join(lines + [f"note = {n}" for n in report.notes])
     print(text)
-    if "outputs" in raw:
-        out = Path(raw["outputs"])
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "theory.txt").write_text(text + "\n")
+    if cfg.outputs is not None:
+        cfg.outputs.mkdir(parents=True, exist_ok=True)
+        (cfg.outputs / "theory.txt").write_text(text + "\n")
     return EXIT_OK
 
 
@@ -557,82 +582,54 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="execute a JSON run config")
-    p_run.add_argument("config")
-
-    p_theory = sub.add_parser("theory", help="print the theory report for a config")
-    p_theory.add_argument("config")
+    for command, text in (("run", "execute a JSON run config"),
+                          ("theory", "print the theory report for a config")):
+        sub.add_parser(command, help=text).add_argument("config")
 
     p_preset = sub.add_parser("preset", help="canned experiments")
     psub = p_preset.add_subparsers(dest="preset", required=True)
-
-    fv = psub.add_parser("fig-variance")
-    fv.add_argument("--scale", type=float, default=1.0 / 16.0)
-    fv.add_argument("--full", action="store_true", help="full-scale N = 320000")
-    fv.add_argument("--out", default="out/fig_variance")
-    fv.add_argument("--seed", type=int, default=1)
-    fv.add_argument("--steps", type=int, default=400)
-
-    ft = psub.add_parser("fig-trajectories")
-    ft.add_argument("--runs", type=int, default=100)
-    ft.add_argument("--n", type=int, default=4000)
-    ft.add_argument("--full", action="store_true", help="full-scale N = 32000")
-    ft.add_argument("--out", default="out/fig_trajectories")
-    ft.add_argument("--seed", type=int, default=1)
-    ft.add_argument("--steps", type=int, default=600)
-
-    ms = psub.add_parser("mfa-sweep")
-    ms.add_argument("config")
-
-    la = psub.add_parser("laplace-audit")
-    la.add_argument("config")
+    for name, preset in PRESETS.items():
+        p = psub.add_parser(name.replace("_", "-"))
+        if not preset.flags:
+            p.add_argument("config")
+            continue
+        for opt in preset.options + preset.flags:
+            flag_type = {_json_int: int, _json_finite: float}[opt.read]
+            p.add_argument(f"--{opt.key}", type=flag_type, default=opt.default,
+                           help="default %(default)s")
+        full = ", ".join(f"{k} = {v}" for k, v in preset.full.items())
+        p.add_argument("--full", action="store_true", help=f"full scale: {full}")
+        p.add_argument("--out", default=f"out/{name}", help="default %(default)s")
     return parser
 
 
 def _dispatch(args):
-    if args.command == "run":
-        raw = load_config(args.config)
-        cfg = parse_run_config(raw)
-        if cfg.preset == "fig_variance":
-            pcfg = cfg.raw.get("fig_variance", {})
-            return preset_fig_variance(
-                cfg.outputs, scale=float(pcfg.get("scale", 1.0 / 16.0)),
-                seed=cfg.params.seed, steps=cfg.params.steps, dt=cfg.params.dt,
-            )
-        if cfg.preset == "fig_trajectories":
-            pcfg = cfg.raw.get("fig_trajectories", {})
-            return preset_fig_trajectories(
-                cfg.outputs, runs=int(pcfg.get("runs", 100)),
-                n=int(pcfg.get("n", 4000)), seed=cfg.params.seed,
-                steps=cfg.params.steps, dt=cfg.params.dt,
-            )
-        if cfg.preset == "mfa_sweep":
-            return run_mfa_sweep(cfg.raw, cfg.outputs)
-        if cfg.preset == "laplace_audit":
-            return run_laplace_audit(cfg.raw, cfg.outputs)
-        if cfg.preset is not None:
-            raise ConfigError(f"preset: unknown preset {cfg.preset!r}")
-        return run_simulation(cfg)
+    name = getattr(args, "preset", "").replace("-", "_")
+    if name and PRESETS[name].flags:
+        preset = PRESETS[name]
+        flags = {**vars(args), **(preset.full if args.full else {})}
+        values = read_block(flags, preset.block, preset.options + preset.flags)
+        return preset.run(Path(args.out), **values)
+    raw = load_config(args.config)
     if args.command == "theory":
-        return run_theory(load_config(args.config))
-    if args.command == "preset":
-        if args.preset == "fig-variance":
-            scale = 1.0 if args.full else args.scale
-            return preset_fig_variance(
-                args.out, scale=scale, seed=args.seed, steps=args.steps
-            )
-        if args.preset == "fig-trajectories":
-            n = FIG_TRAJ_FULL_N if args.full else args.n
-            return preset_fig_trajectories(
-                args.out, runs=args.runs, n=n, seed=args.seed, steps=args.steps
-            )
-        if args.preset == "mfa-sweep":
-            raw = load_config(args.config)
-            return run_mfa_sweep(raw, Path(raw.get("outputs", "out/mfa_sweep")))
-        if args.preset == "laplace-audit":
-            raw = load_config(args.config)
-            return run_laplace_audit(raw, Path(raw.get("outputs", "out/laplace_audit")))
-    raise ConfigError(f"unknown command {args.command!r}")
+        return run_theory(parse_run_config(raw, outputs=None))
+    if args.command == "run":
+        cfg = parse_run_config(raw)
+        if cfg.preset is None:
+            return run_simulation(cfg)
+        if cfg.preset not in PRESETS:
+            raise ConfigError(f"preset: unknown preset {cfg.preset!r}")
+        name, out_dir = cfg.preset, cfg.outputs
+    else:
+        out_dir = read_block(raw, "", (Opt("outputs", _json_path, Path("out", name)),))["outputs"]
+        cfg = parse_run_config(raw, out_dir) if PRESETS[name].run_config else None
+    preset = PRESETS[name]
+    values = read_block(raw.get(preset.block, {}), preset.block, preset.options)
+    if preset.flags:  # a run config sets them, and dt, through params
+        values.update({o.key: getattr(cfg.params, o.key) for o in preset.flags}, dt=cfg.params.dt)
+    if preset.run_config:
+        values["cfg"] = cfg
+    return preset.run(out_dir, **values)
 
 
 def main(argv=None):

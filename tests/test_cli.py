@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cbo import cli
 
@@ -63,6 +65,9 @@ class TestConfigErrors:
         ("init", "mean", ["abc"]),
         ("init", "mean", [math.nan]),
         ("objective", "dim", True),
+        ("objective", "center", ["x"]),
+        pytest.param("params", "lambda", 10**400, id="params-lambda-10**400"),
+        ("params", "seed", 2**64),
     ])
     def test_bad_value_exit_2_names_key(self, tmp_path, capsys, section, key, value):
         # no silent coercion and no traceback: exit 2 naming the key
@@ -71,6 +76,112 @@ class TestConfigErrors:
         assert cli.main(["run", write_config(tmp_path, cfg)]) == cli.EXIT_CONFIG
         assert f"{section}.{key}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("route, path, value, named", [
+        ("fig_variance", ("fig_variance", "scale"), "x", "fig_variance.scale"),
+        ("fig_trajectories", ("fig_trajectories", "runs"), 2.7, "fig_trajectories.runs"),
+        ("fig_trajectories", ("fig_trajectories", "runs"), 1, "fig_trajectories.runs"),
+        ("run", ("outputs",), 5, "outputs"),
+        ("theory", ("theory", "eps"), "x", "theory.eps"),
+        ("theory", ("theory", "r"), True, "theory.r"),
+        ("theory", ("theory", "sample_n"), 0, "theory.sample_n"),
+        ("theory", ("objective", "dim"), 2, "params.dim = 1 does not match objective.dim = 2"),
+        ("mfa", ("objective", "dim"), 2, "params.dim = 1 does not match objective.dim = 2"),
+        ("mfa", (), [1], "config"),
+        ("audit", (), [1], "config"),
+        ("audit", ("audit", "measures"), 0, "audit.measures"),
+        ("audit", ("audit", "measures"), -2, "audit.measures"),
+        ("audit", ("audit", "measures"), "3", "audit.measures"),
+        ("audit", ("audit", "max_n"), 5, "audit.max_n"),
+        ("audit", ("audit", "min_inside"), 0, "audit.min_inside"),
+        ("audit", ("audit", "seed"), -1, "audit.seed"),
+    ])
+    def test_bad_value_on_each_route_exit_2_names_key(self, tmp_path, capsys, route, path,
+                                                      value, named):
+        # the preset and theory blocks are as strict as the run blocks
+        command, cfg = route_config(route, tmp_path)
+        if path:
+            parent = cfg
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+        else:
+            cfg = value
+        assert cli.main([*command, write_config(tmp_path, cfg)]) == cli.EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def route_config(route, tmp_path):
+    """A valid small config for one route of the CLI, writing to
+    ``tmp_path / "out"``, and the command that takes it."""
+    cfg = base_config(tmp_path)
+    if route == "run":
+        return ["run"], cfg
+    if route == "fig_variance":
+        return ["run"], dict(cfg, preset=route, fig_variance={"scale": 0.0001})
+    if route == "fig_trajectories":
+        return ["run"], dict(cfg, preset=route, fig_trajectories={"runs": 2, "n": 10})
+    if route == "theory":
+        theory = {"eps": 0.01, "tau": 0.1, "r": 0.5, "b_bound": 1.0, "q_laplace": 0.01,
+                  "sample_n": 20}
+        return ["theory"], dict(cfg, theory=theory)
+    if route == "mfa":
+        return ["preset", "mfa-sweep"], mfa_smoke_config(tmp_path / "out")
+    assert route == "audit"
+    return ["preset", "laplace-audit"], {
+        "audit": {"measures": 3, "seed": 1, "max_n": 20, "min_inside": 3},
+        "outputs": cfg["outputs"],
+    }
+
+
+# replacement leaves: wrong types, bools, NaN/inf, negatives and integers
+# beyond 64 bits or beyond the float range
+BAD_LEAVES = [None, True, False, "x", "", [], {}, [1, "a"], {"k": 1}, math.nan, math.inf,
+              -math.inf, -1, 0, 1.5, 2**64, -2**64, 10**400]
+
+
+def node_paths(node, path=()):
+    """Every key path below ``node``, blocks and list entries included."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from node_paths(child, path + (key,))
+
+
+class TestMutatedConfigs:
+    @pytest.mark.parametrize("route", ["run", "theory", "mfa", "audit"])
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_leaf_ends_in_documented_exit_code(self, tmp_path, monkeypatch, route,
+                                                       data):
+        # any one malformed leaf, or a non-object config, ends in exit
+        # 0-4 and never in an uncaught exception
+        monkeypatch.chdir(tmp_path)  # a deleted "outputs" writes below the cwd
+        command, cfg = route_config(route, tmp_path)
+        if data.draw(st.integers(0, 9)) == 0:
+            cfg = data.draw(st.sampled_from([[1], "x", 3, None, []]))
+        else:
+            path = data.draw(st.sampled_from(list(node_paths(cfg))))
+            parent = cfg
+            for key in path[:-1]:
+                parent = parent[key]
+            old = parent[path[-1]]
+            op = data.draw(st.sampled_from(["replace", "negate", "delete"]))
+            if op == "delete":
+                del parent[path[-1]]
+            elif op == "negate" and isinstance(old, (int, float)):
+                parent[path[-1]] = -old
+            else:
+                parent[path[-1]] = data.draw(st.sampled_from(BAD_LEAVES))
+        code = cli.main([*command, write_config(tmp_path, cfg, "mutated.json")])
+        assert code in {0, 1, 2, 3, 4}
 
 
 class TestRun:
@@ -227,6 +338,17 @@ class TestPresets:
         assert mean[0] == "agent,t,x,y"
         assert len(mean) == 1 + 3 * 31
         assert "chord_deviation_agent0" in (out / "summary.txt").read_text()
+
+    @pytest.mark.parametrize("threads", ["abc", "0", "-3", "2.5"])
+    def test_cbo_threads_not_positive_integer_exit_2(self, tmp_path, capsys, monkeypatch,
+                                                     threads):
+        monkeypatch.setenv("CBO_THREADS", threads)
+        out = tmp_path / "fv"
+        code = cli.main(["preset", "fig-variance", "--scale", "0.0005", "--steps", "3",
+                         "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert "CBO_THREADS" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fig_trajectories_needs_two_runs(self, tmp_path):
         code = cli.main([
