@@ -14,9 +14,9 @@ same block, and ``params`` sets seed, steps and dt):
 
 Exit codes: 0 success, 1 the laplace audit found violations, 2 config error
 (a missing, mistyped or out-of-range value in any block, named by its key,
-or a CBO_THREADS that is not a positive integer), 3 divergence, 4
-theory-precondition failure.  CBO_THREADS caps the worker count of the
-fig-variance and fig-trajectories fan-out; mfa-sweep runs in one thread.
+sizes beyond memory, unwritable outputs, a CBO_THREADS that is not a positive
+integer), 3 divergence, 4 theory-precondition failure.  CBO_THREADS caps the
+workers of the fig-variance and fig-trajectories fan-out; mfa-sweep uses one.
 """
 
 from __future__ import annotations
@@ -88,6 +88,11 @@ def _json_list(item):
 _json_vector = _json_list(_json_finite)
 
 
+def _check_floats(count, name):
+    if count * 8 > np.iinfo(np.intp).max:  # the bytes of one numpy array
+        raise ConfigError(f"{name}: {count} floats exceed the largest possible array")
+
+
 def _json_str(value, ctx):
     if not isinstance(value, str):
         raise ConfigError(f"{ctx}: expected a string, got {value!r}")
@@ -146,6 +151,7 @@ def parse_objective(cfg, ctx="objective"):
     ))
     if v["name"] != "quadratic" or v["center"] is None:
         del v["center"]
+    _check_floats(v["dim"], f"{ctx}.dim")
     return objectives.by_name(**v)
 
 
@@ -176,6 +182,7 @@ def parse_params(cfg, ctx="params"):
         Opt("h", _json_h, engine.CONST_ONE),
         Opt("seed", _json_int, engine.CboParams.seed),
     ))
+    _check_floats(v["n_particles"] * v["dim"], f"{ctx}.n_particles * {ctx}.dim")
     return engine.CboParams(lam=v.pop("lambda"), h_variant=v.pop("h"), **v)
 
 
@@ -394,6 +401,7 @@ def preset_fig_trajectories(out_dir, runs, n, seed, steps, dt=0.01):
     dist = engine.GaussianIsotropic(FIG_TRAJ_MEAN, FIG_TRAJ_VAR)
     tracked = np.asarray(FIG_TRAJ_TRACKED, dtype=float)
     n_total = n + len(tracked)
+    _check_floats(n_total * 2, "fig_trajectories.n")
     params = engine.CboParams(
         lam=1.0, sigma=0.1, alpha=1e15, dt=dt, steps=steps,
         n_particles=n_total, dim=2, seed=seed,
@@ -448,6 +456,7 @@ def preset_fig_trajectories(out_dir, runs, n, seed, steps, dt=0.01):
 def run_mfa_sweep(out_dir, cfg, n_values, n_ref, n_seeds, seed0, m_factor):
     """The 1/N mean-field sweep of run config ``cfg``; seed0 defaults to params.seed + 1."""
     seed0 = cfg.params.seed + 1 if seed0 is None else seed0
+    _check_floats(n_ref * cfg.params.dim, "mfa.n_ref")
     seeds = [seed0 + i for i in range(n_seeds)]
     result = mfa.mfa_sweep(cfg.init, cfg.objective, cfg.params, n_values, n_ref, seeds, m_factor)
 
@@ -545,6 +554,7 @@ def run_theory(cfg):
         Opt("sample_n", _json_int, None, lo=1),
     ))
     sample_n = params.n_particles if t["sample_n"] is None else t["sample_n"]
+    _check_floats(sample_n * params.dim, "theory.sample_n")
     ens0 = engine.sample_initial(cfg.init, sample_n, params.dim, params.seed)
     report = theory.build_theory_report(
         obj, params, ens0, eps=t["eps"], tau=t["tau"],
@@ -636,15 +646,22 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
     except SimulationError as err:
         print(f"simulation error: {err}", file=sys.stderr)
         return EXIT_DIVERGENCE
     except TheoryPreconditionError as err:
         print(f"theory precondition error: {err}", file=sys.stderr)
         return EXIT_THEORY
+    except ConfigError as err:
+        message = err
+    except MemoryError as err:
+        message = f"the configured sizes do not fit in memory: {err}"
+    except OSError as err:  # the config is read in load_config: this is an output
+        if err.filename is None:  # not a file, e.g. a closed standard output
+            raise
+        message = f"outputs: cannot write {err.filename}: {err.strerror}"
+    print(f"config error: {message}", file=sys.stderr)
+    return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
-"""Particle dynamics: ensemble state, stabilized consensus point, one
-explicit Euler-Maruyama step, the state iterator every run is driven by,
-and the simulation with metrics recording.
+"""Particle dynamics: ensemble state, stabilized consensus point, and the
+state iterator ``states``, the one stepping loop that drives every run with
+explicit Euler-Maruyama steps, and the simulation with metrics recording.
 
 The update for agent i with step size dt reads
 
@@ -46,7 +46,6 @@ __all__ = [
     "sample_initial",
     "consensus_point",
     "h_eval",
-    "cbo_step",
     "states",
     "simulate",
     "SimulationResult",
@@ -322,12 +321,11 @@ def _eval_rows(obj, rows, e, s):
     return eb.min(axis=-1, keepdims=True) if np.isfinite(eb).all() else None
 
 
-def _energies(obj, x, step=None, seeds=None, blocks=None):
-    """Energies of the positions ``x``, evaluated one row block at a time
-    (``blocks``, by default ``row_blocks(x.shape)``), and their minimum per
-    replication, (1,) or (R, 1)."""
+def _energies(obj, x, step, seeds, blocks):
+    """Energies of the positions ``x``, evaluated one row block of ``blocks``
+    at a time, and their minimum per replication, (1,) or (R, 1)."""
     e = np.empty(x.shape[:-1])
-    mins = [_eval_rows(obj, x[..., s, :], e, s) for s in blocks or row_blocks(x.shape)]
+    mins = [_eval_rows(obj, x[..., s, :], e, s) for s in blocks]
     if any(m is None for m in mins):
         raise _nonfinite_energy(e, step, seeds)
     return e, functools.reduce(np.minimum, mins)
@@ -358,30 +356,28 @@ def _weighted_consensus(x, energies, emin, alpha, w=None, xw=None):
     return np.multiply(x, w[..., None], out=xw).sum(axis=-2) / w.sum(axis=-1)[..., None]
 
 
-def consensus_point(ens, obj, alpha):
-    """The omega_alpha-weighted mean of the ensemble, stabilized by the
-    minimal energy shift; exact up to rounding for any alpha > 0.  One point
-    per replication, (R, dim), for a batch."""
-    if obj.dim != ens.dim:
-        raise ConfigError(f"objective dim {obj.dim} != ensemble dim {ens.dim}")
-    x = ens.positions
-    return _weighted_consensus(x, *_energies(obj, x), float(alpha))
+def consensus_point(x, energies, alpha):
+    """The omega_alpha-weighted mean of the positions ``x`` with the caller's
+    ``energies``, stabilized by the minimal energy shift; exact up to rounding
+    for any alpha > 0.  One point per replication, (R, dim), for a batch."""
+    if not np.isfinite(energies).all():
+        raise _nonfinite_energy(energies, None, None)
+    return _weighted_consensus(x, energies, energies.min(axis=-1, keepdims=True), float(alpha))
 
 
-def _step(x, out, obj, params, c, energies, increments, step, seeds=None, new_energies=None,
-          blocks=None):
+def _step(x, out, obj, params, c, energies, increments, step, seeds, new_energies, blocks):
     """Write the positions of state ``step + 1`` into ``out`` (which may be
     ``x`` itself) from the positions ``x`` of state ``step``, its consensus
     point ``c`` ((dim,), or (R, dim) per replication of a batch) and its
     ``energies`` (read only when H is not ConstOne).
 
-    The update runs one row block at a time (``blocks``, by default
-    ``row_blocks(x.shape)``).  With ``new_energies`` (which may be
-    ``energies`` itself), the energies of each new block are evaluated in
-    the same pass, while the block is still in cache, and their minimum per
-    replication is returned.  Every row is computed as a whole-array step
-    would compute it, so the result does not depend on the block size;
-    errors name the first failing particle of the whole array.
+    The update runs one row block of ``blocks`` at a time.  Unless
+    ``new_energies`` is None (a pinned consensus with H = 1 needs none), the
+    energies of each new block are evaluated into it (it may be ``energies``
+    itself) in the same pass, while the block is still in cache, and their
+    minimum per replication is returned.  Every row is computed as a
+    whole-array step would compute it, so the result does not depend on the
+    block size; errors name the first failing particle of the whole array.
     """
     if increments.shape != x.shape:
         raise ConfigError(f"increments have shape {increments.shape}, expected {x.shape}")
@@ -397,7 +393,7 @@ def _step(x, out, obj, params, c, energies, increments, step, seeds=None, new_en
                 step=step, seed=seed,
             )
     diverged, mins = False, []
-    for s in blocks or row_blocks(x.shape):
+    for s in blocks:
         xb, new = x[..., s, :], out[..., s, :]
         # x - dt lam H (x - c) + (sigma |x - c|) inc, with one buffer for
         # x - c, then the drift, then the noise term
@@ -424,45 +420,6 @@ def _step(x, out, obj, params, c, energies, increments, step, seeds=None, new_en
     if any(m is None for m in mins):
         raise _nonfinite_energy(new_energies, step + 1, seeds)
     return functools.reduce(np.minimum, mins) if mins else None
-
-
-def cbo_step(ens, obj, params, noise=None, increments=None, consensus=None,
-             energies=None, step=0):
-    """One explicit Euler-Maruyama step from state ``step`` to ``step + 1``.
-
-    The consensus point is computed once from the input state (or pinned via
-    ``consensus``); all particles then update independently.  ``energies``
-    of the input state are reused when given.  Increments can be supplied
-    explicitly (shaped like the positions, already scaled to variance dt)
-    for coupled runs, otherwise they come from ``noise`` at this step index.
-    ``noise`` holds generator state, so give each thread its own.
-
-    Positions may carry a replication axis, (R, n, dim), as in ``states``;
-    a pinned ``consensus`` is then (dim,) or one point per replication,
-    (R, dim), and errors name the seed of a ``NoiseBatch``'s replication.
-    """
-    x = ens.positions
-    d = x.shape[-1]
-    if obj.dim != d:
-        raise ConfigError(f"objective dim {obj.dim} != ensemble dim {d}")
-    seeds = getattr(noise, "seeds", None)
-    if energies is None and (consensus is None or not isinstance(params.h_variant, ConstOne)):
-        energies, _ = _energies(obj, x, step, seeds)
-    if consensus is None:
-        emin = energies.min(axis=-1, keepdims=True)
-        c = _weighted_consensus(x, energies, emin, params.alpha)
-    else:
-        c = np.asarray(consensus, dtype=float)
-        if c.shape not in ((d,), x.shape[:-2] + (d,)):
-            want = f"({d},)" if x.ndim == 2 else f"({d},) or {x.shape[:-2] + (d,)}"
-            raise ConfigError(f"consensus has shape {c.shape}, expected {want}")
-    if increments is None:
-        if noise is None:
-            raise ConfigError("cbo_step needs a NoiseSource or explicit increments")
-        increments = noise.increments(step, *x.shape[-2:], params.dt)
-    new = np.empty(x.shape)
-    _step(x, new, obj, params, c, energies, np.asarray(increments, dtype=float), step, seeds)
-    return Ensemble(new, time=(step + 1) * params.dt)
 
 
 def states(ens, obj, params, noise, consensus=None):
@@ -556,8 +513,6 @@ def simulate(dist, obj, params, record=RecordingPlan(), stream=0):
     deterministic given (config, seed); on a failure after the first record
     the partial series is attached to the raised error.
     """
-    if obj.dim != params.dim:
-        raise ConfigError(f"objective dim {obj.dim} != params dim {params.dim}")
     digest = config_digest(dist, obj, params, record)
     # no reference to state 0 outlives the iterator's own
     run = states(sample_initial(dist, params.n_particles, params.dim, params.seed, stream),

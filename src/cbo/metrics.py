@@ -1,9 +1,9 @@
 """Empirical functionals of an ensemble and exponential-rate fitting.
 
-All functions here are pure and operate on position matrices of shape
-``(n, dim)``; ``moment4_stat`` also takes a batch ``(R, n, dim)``.  They are
-safe for unrestricted concurrent use, as long as concurrent calls do not
-share a ``work`` buffer.
+``snapshot`` computes every functional of one state.  All functions here
+are pure and take position arrays of shape ``(n, dim)``; ``moment4_stat``
+also takes a batch ``(R, n, dim)``.  They are safe for unrestricted
+concurrent use, as long as concurrent calls do not share a ``work`` buffer.
 """
 
 from __future__ import annotations
@@ -20,9 +20,6 @@ __all__ = [
     "MetricsRecord",
     "MetricsSeries",
     "RecordingPlan",
-    "v_functional",
-    "variance",
-    "ball_mass",
     "moment4_stat",
     "snapshot",
     "fit_decay_rate",
@@ -43,13 +40,11 @@ def row_blocks(shape):
 
 
 def _per_row(f, shape, work):
-    """One value per particle row of an array of the given shape: ``f`` of
-    all rows when ``work`` is None, else ``f(s)`` for each row block ``s``,
-    written into ``work``.  A whole-array reduction of the result sums in
-    the same order either way; with ``work``, ``f`` makes no whole-array
-    temporaries."""
-    if work is None:
-        return f(slice(None))
+    """One value per particle row of an array of the given shape: ``f(s)``
+    for each row block ``s``, written into ``work`` (a new array when None).
+    A whole-array reduction of the result sums in the same order as over
+    ``f`` of all rows, and ``f`` makes no whole-array temporaries."""
+    work = np.empty(shape[:-1]) if work is None else work
     for s in row_blocks(shape):
         work[..., s] = f(s)
     return work
@@ -108,50 +103,16 @@ class MetricsSeries:
         return np.array([getattr(r, name) for r in self.records])
 
 
-def _positions(ens):
-    # accepts an Ensemble-like object or a bare (n, dim) array
-    x = getattr(ens, "positions", ens)
-    return np.asarray(x, dtype=float)
-
-
-def v_functional(ens, vstar):
-    """(1/(2n)) sum_i ||V^i - v*||^2, half the mean squared distance to v*."""
-    x = _positions(ens)
-    vstar = np.asarray(vstar, dtype=float)
-    if vstar.shape != (x.shape[1],):
-        raise InvalidInputError(f"v* has shape {vstar.shape}, expected ({x.shape[1]},)")
-    d = x - vstar
-    return 0.5 * float(np.mean((d * d).sum(axis=1)))
-
-
 def _sq_rows(d):
     return (d * d).sum(axis=-1)
 
 
-def variance(ens, work=None):
-    """(1/(2n)) sum_i ||V^i - mean||^2 (the halved empirical variance).
-    ``work``, optional, is an (n,) float buffer for the per-particle terms."""
-    x = _positions(ens)
-    m = x.mean(axis=0)
-    return 0.5 * float(np.mean(_per_row(lambda s: _sq_rows(x[s] - m), x.shape, work)))
-
-
-def ball_mass(ens, vstar, r):
-    """Fraction of particles inside the closed ball of radius r around v*."""
-    if not r > 0:
-        raise InvalidInputError(f"ball radius must be positive, got {r}")
-    x = _positions(ens)
-    dist = np.linalg.norm(x - np.asarray(vstar, dtype=float), axis=1)
-    return float(np.mean(dist <= r))
-
-
-def moment4_stat(ens, ens_bar=None, work=None):
-    """(1/n) sum_i max{||V^i||^4, ||Vbar^i||^4}; the second ensemble is
-    optional.  A batch (R, n, dim) gives one value per replication, (R,).
-    ``work``, optional, is a float buffer for the per-particle terms, shaped
-    like the positions without their last axis."""
-    x = _positions(ens)
-    y = None if ens_bar is None else _positions(ens_bar)
+def moment4_stat(x, y=None, work=None):
+    """(1/n) sum_i max{||V^i||^4, ||Vbar^i||^4} of the positions ``x`` and
+    the optional coupled positions ``y``.  A batch (R, n, dim) gives one
+    value per replication, (R,).  ``work``, optional, is a float buffer for
+    the per-particle terms, shaped like the positions without their last
+    axis."""
     if y is not None and y.shape != x.shape:
         raise InvalidInputError(f"coupled ensembles differ in shape: {x.shape} vs {y.shape}")
 
@@ -168,16 +129,16 @@ def moment4_stat(ens, ens_bar=None, work=None):
 
 def snapshot(t, x, vstar, consensus, ball_radii, work=None):
     """MetricsRecord of the positions ``x`` at time ``t`` with consensus
-    point ``consensus``.  ``x - v*`` and its row sums of squares are computed
+    point ``consensus``: V = (1/(2n)) sum_i ||V^i - v*||^2, the halved
+    variance (1/(2n)) sum_i ||V^i - mean||^2, the fraction of particles in
+    the closed ball around v* of each radius in ``ball_radii``, W2 and
+    ``moment4_stat``.  ``x - v*`` and its row sums of squares are computed
     once for V and every ball mass; without a minimizer (``vstar`` None) the
     fields tied to it are NaN and there are no ball masses.
 
     Every per-particle quantity is computed over row blocks into ``work``,
     an (n,) float buffer that a caller recording many states passes each
     time (a new one when None), so a record allocates no full-size array."""
-    x = _positions(x)
-    if work is None:
-        work = np.empty(len(x))
     v = cdist = math.nan
     masses = {}
     if vstar is not None:
@@ -194,8 +155,9 @@ def snapshot(t, x, vstar, consensus, ball_radii, work=None):
         cdist = float(np.linalg.norm(consensus - vstar))
         # count / n is np.mean of the 0/1 mask, bitwise: both are exact
         masses = {r: count / len(x) for r, count in inside.items()}
-    return MetricsRecord(t, v, variance(x, work), 2.0 * v, cdist, masses,
-                         moment4_stat(x, work=work))
+    m = x.mean(axis=0)
+    var = 0.5 * float(np.mean(_per_row(lambda s: _sq_rows(x[s] - m), x.shape, work)))
+    return MetricsRecord(t, v, var, 2.0 * v, cdist, masses, moment4_stat(x, work=work))
 
 
 def fit_decay_rate(series, window):

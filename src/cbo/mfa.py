@@ -120,11 +120,9 @@ def coupled_error(dist, obj, params, ref_traj, seeds, m_threshold):
     seeds step in batches of at most ``BATCH_PARTICLES`` particles per
     system; the result is bitwise that of one seed at a time.
     """
-    is_ref = isinstance(ref_traj, ReferenceTrajectory)
-    points = ref_traj.points if is_ref else np.asarray(ref_traj)
-    if len(points) != params.steps + 1:
+    if len(ref_traj.points) != params.steps + 1:
         raise InvalidInputError(
-            f"reference trajectory has {len(points)} entries, expected steps+1 = "
+            f"reference trajectory has {len(ref_traj.points)} entries, expected steps+1 = "
             f"{params.steps + 1}"
         )
     seeds = tuple(int(s) for s in seeds)
@@ -132,7 +130,7 @@ def coupled_error(dist, obj, params, ref_traj, seeds, m_threshold):
         raise InvalidInputError("need at least one replication seed")
     per_batch = max(1, BATCH_PARTICLES // params.n_particles)
     batches = [
-        _coupled_sups(dist, obj, params, points, seeds[i:i + per_batch])
+        _coupled_sups(dist, obj, params, ref_traj.points, seeds[i:i + per_batch])
         for i in range(0, len(seeds), per_batch)
     ]
     sups = np.concatenate([gap for gap, _ in batches])          # (n_seeds, n)
@@ -144,7 +142,7 @@ def coupled_error(dist, obj, params, ref_traj, seeds, m_threshold):
         err_cond = float(sups[~exceeds].mean(axis=0).max())
     return CouplingRun(
         n=params.n_particles,
-        n_ref=ref_traj.n_ref if is_ref else 0,
+        n_ref=ref_traj.n_ref,
         seeds=seeds,
         err_sup=err_sup,
         err_sup_conditional=err_cond,

@@ -27,7 +27,7 @@ from .errors import (
     NonContractiveError,
     UnsupportedInitializationError,
 )
-from .metrics import v_functional, variance
+from .metrics import snapshot
 
 __all__ = [
     "find_c",
@@ -398,16 +398,14 @@ def build_theory_report(obj, params, ens0, eps, tau, r=None, b_bound=None,
     x = ens0.positions
     dists = np.linalg.norm(x - vstar, axis=1)
     energies = np.asarray(obj.eval(x), dtype=float)
-    var0 = variance(ens0)
-    v0 = v_functional(ens0, vstar)
+    rec0 = snapshot(0.0, x, vstar, engine.consensus_point(x, energies, params.alpha), ())
 
     c = find_c(d)
     if r is None:
         r = float(np.median(dists))
         notes.append(f"r defaulted to the sample median distance {r:.6g}")
     if b_bound is None:
-        cons = engine.consensus_point(ens0, obj, params.alpha)
-        b_bound = float(np.linalg.norm(cons - vstar))
+        b_bound = rec0.consensus_dist
         notes.append(f"b_bound defaulted to the initial consensus distance {b_bound:.6g}")
 
     try:
@@ -416,7 +414,7 @@ def build_theory_report(obj, params, ens0, eps, tau, r=None, b_bound=None,
         q_rate = None
         notes.append("q is infinite (sigma = 0)")
 
-    horizon = t_star(v0, eps, tau, params.lam, params.sigma, d)
+    horizon = t_star(rec0.v_func, eps, tau, params.lam, params.sigma, d)
 
     alpha0 = None
     if tau > 0:
@@ -452,7 +450,7 @@ def build_theory_report(obj, params, ens0, eps, tau, r=None, b_bound=None,
         notes.append("laplace bound skipped: no sample mass inside the ball")
 
     wp = wellprep_check(
-        params.alpha, params.lam, params.sigma, obj.e_under, energies, var0, d
+        params.alpha, params.lam, params.sigma, obj.e_under, energies, rec0.variance, d
     )
     return TheoryReport(
         c=c,
@@ -519,8 +517,7 @@ def laplace_audit(n_measures=1000, seed=2024, max_n=500, dims=(1, 2, 3),
         bound = laplace_bound(
             float(dists.mean()), float(inside.mean()), alpha, q, e_r, obj.eta, obj.nu
         )
-        cons = engine.consensus_point(engine.Ensemble(x), obj, alpha)
-        cdist = float(np.linalg.norm(cons))
+        cdist = float(np.linalg.norm(engine.consensus_point(x, obj.eval(x), alpha)))
         margin = bound - cdist
         min_margin = min(min_margin, margin)
         if margin < 0:

@@ -170,7 +170,7 @@ def test_criterion_7_structural_invariants(tmp_path):
         n = int(rng.integers(1, 50))
         alpha = 10.0 ** rng.uniform(-2, 15)
         x = rng.uniform(-5, 5, (n, 2))
-        c = engine.consensus_point(engine.Ensemble(x), obj, alpha)
+        c = engine.consensus_point(x, obj.eval(x), alpha)
         assert np.all(c >= x.min(axis=0) - 1e-12)
         assert np.all(c <= x.max(axis=0) + 1e-12)
 
@@ -185,8 +185,8 @@ def test_criterion_7_structural_invariants(tmp_path):
     for _ in range(1000):
         x = rng.uniform(-4, 4, (int(rng.integers(2, 40)), 1))
         alpha = 10.0 ** rng.uniform(-2, 2)
-        c0 = engine.consensus_point(engine.Ensemble(x), base, alpha)
-        c1 = engine.consensus_point(engine.Ensemble(x), lifted, alpha)
+        c0 = engine.consensus_point(x, base.eval(x), alpha)
+        c1 = engine.consensus_point(x, lifted.eval(x), alpha)
         assert abs(float(c1[0] - c0[0])) <= 1e-12
 
     # Var <= V, the decomposition identity, and w2 = 2 V exactly (1000 cases)
@@ -195,12 +195,12 @@ def test_criterion_7_structural_invariants(tmp_path):
         d = int(rng.integers(1, 4))
         x = rng.standard_normal((n, d)) * rng.uniform(0.2, 4)
         vstar = rng.standard_normal(d)
-        v = metrics.v_functional(x, vstar)
-        var = metrics.variance(x)
+        rec = metrics.snapshot(0.0, x, vstar, vstar, ())
+        v, var = rec.v_func, rec.variance
         gap = x.mean(axis=0) - vstar
         assert var <= v + 1e-12
         assert abs(var - (v - 0.5 * float(gap @ gap))) <= 1e-10
-        assert 2.0 * v == 2.0 * v  # w2_sq is materialized as exactly 2 * v_func
+        assert rec.w2_sq == 2.0 * v  # w2_sq is materialized as exactly 2 * v_func
 
     rec = engine.simulate(
         engine.GaussianIsotropic((1.0,), 1.0), objectives.quadratic(1),

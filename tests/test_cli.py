@@ -68,6 +68,10 @@ class TestConfigErrors:
         ("objective", "center", ["x"]),
         pytest.param("params", "lambda", 10**400, id="params-lambda-10**400"),
         ("params", "seed", 2**64),
+        # in range, but more floats than any array holds: rejected before
+        # anything is allocated
+        ("params", "n_particles", 2**62),
+        ("objective", "dim", 2**62),
     ])
     def test_bad_value_exit_2_names_key(self, tmp_path, capsys, section, key, value):
         # no silent coercion and no traceback: exit 2 naming the key
@@ -95,10 +99,19 @@ class TestConfigErrors:
         ("audit", ("audit", "max_n"), 5, "audit.max_n"),
         ("audit", ("audit", "min_inside"), 0, "audit.min_inside"),
         ("audit", ("audit", "seed"), -1, "audit.seed"),
+        # in range, but more floats than any array holds
+        ("theory", ("theory", "sample_n"), 2**62, "theory.sample_n"),
+        ("mfa", ("mfa", "n_ref"), 2**62, "mfa.n_ref"),
+        ("fig_trajectories", ("fig_trajectories", "n"), 2**62, "fig_trajectories.n"),
+        # an output directory that cannot be made: "taken" is a file
+        *((route, ("outputs",), "taken", "outputs: cannot write taken")
+          for route in ("run", "fig_variance", "fig_trajectories", "theory", "mfa", "audit")),
     ])
-    def test_bad_value_on_each_route_exit_2_names_key(self, tmp_path, capsys, route, path,
-                                                      value, named):
+    def test_bad_value_on_each_route_exit_2_names_key(self, tmp_path, capsys, monkeypatch,
+                                                      route, path, value, named):
         # the preset and theory blocks are as strict as the run blocks
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").write_text("a file\n")
         command, cfg = route_config(route, tmp_path)
         if path:
             parent = cfg
@@ -109,6 +122,16 @@ class TestConfigErrors:
             cfg = value
         assert cli.main([*command, write_config(tmp_path, cfg)]) == cli.EXIT_CONFIG
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_out_of_memory_exit_2(self, tmp_path, capsys, monkeypatch):
+        # an allocation that fails; no test asks for a real huge array
+        def no_memory(*args, **kwargs):
+            raise MemoryError("cannot allocate")
+
+        monkeypatch.setattr(cli.engine, "sample_initial", no_memory)
+        assert cli.main(["run", write_config(tmp_path, base_config(tmp_path))]) == cli.EXIT_CONFIG
+        assert "memory" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

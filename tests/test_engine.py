@@ -2,6 +2,7 @@ import dataclasses
 import math
 
 import numpy as np
+import oracle
 import pytest
 
 from cbo import engine, metrics, objectives
@@ -14,6 +15,12 @@ from cbo.errors import (
 
 def quadratic1():
     return objectives.quadratic(1)
+
+
+def consensus_of(x, obj, alpha):
+    """The engine's consensus point of the positions ``x`` under ``obj``."""
+    x = np.asarray(x, dtype=float)
+    return engine.consensus_point(x, obj.eval(x), alpha)
 
 
 class TestHEval:
@@ -108,34 +115,28 @@ class TestNoiseSource:
 
 class TestConsensusPoint:
     def test_single_particle(self):
-        ens = engine.Ensemble(np.array([[3.0]]))
-        c = engine.consensus_point(ens, quadratic1(), 1.0)
+        c = consensus_of([[3.0]], quadratic1(), 1.0)
         assert np.array_equal(c, np.array([3.0]))
 
     def test_equal_energies_any_alpha(self):
         obj = quadratic1()
-        ens = engine.Ensemble(np.array([[1.0], [-1.0]]))
         for alpha in (1e-6, 1.0, 1e12):
-            np.testing.assert_allclose(
-                engine.consensus_point(ens, obj, alpha), [0.0], atol=1e-15
-            )
+            c = consensus_of([[1.0], [-1.0]], obj, alpha)
+            np.testing.assert_allclose(c, [0.0], atol=1e-15)
 
     def test_two_point_value(self):
-        ens = engine.Ensemble(np.array([[0.0], [1.0]]))
-        c = engine.consensus_point(ens, quadratic1(), 1.0)
+        c = consensus_of([[0.0], [1.0]], quadratic1(), 1.0)
         expected = math.exp(-1.0) / (1.0 + math.exp(-1.0))  # 1/(1+e)
         np.testing.assert_allclose(c, [expected], rtol=1e-12)
         np.testing.assert_allclose(c, [0.26894142], atol=1e-8)
 
     def test_argmin_limit_under_weight_underflow(self):
-        ens = engine.Ensemble(np.array([[0.2], [1.0]]))
-        c = engine.consensus_point(ens, quadratic1(), 1e15)
+        c = consensus_of([[0.2], [1.0]], quadratic1(), 1e15)
         assert c[0] == 0.2  # shifted non-minimal weight underflows to exactly 0
 
     def test_nonfinite_energy_reports_particle(self):
-        ens = engine.Ensemble(np.array([[1.0], [math.inf]]))
         with pytest.raises(NumericDomainError) as err:
-            engine.consensus_point(ens, quadratic1(), 1.0)
+            consensus_of([[1.0], [math.inf]], quadratic1(), 1.0)
         assert err.value.particle == 1
 
     def test_matches_extended_precision_reference(self):
@@ -148,8 +149,7 @@ class TestConsensusPoint:
             n = int(rng.integers(1, 21))
             alpha = float(rng.uniform(0.01, 50.0))
             x = rng.uniform(-3, 3, (n, 2))
-            ens = engine.Ensemble(x)
-            ours = engine.consensus_point(ens, obj, alpha)
+            ours = consensus_of(x, obj, alpha)
             energies = [mpmath.mpf(float(obj.eval(x[i]))) for i in range(n)]
             weights = [mpmath.exp(-alpha * e) for e in energies]
             total = mpmath.fsum(weights)
@@ -166,7 +166,7 @@ class TestConsensusPoint:
             n = int(rng.integers(1, 40))
             alpha = 10.0 ** rng.uniform(-2, 15)
             x = rng.uniform(-5, 5, (n, 2))
-            c = engine.consensus_point(engine.Ensemble(x), obj2, alpha)
+            c = consensus_of(x, obj2, alpha)
             lo, hi = x.min(axis=0), x.max(axis=0)
             assert np.all(c >= lo - 1e-12) and np.all(c <= hi + 1e-12)
 
@@ -183,8 +183,8 @@ class TestConsensusPoint:
         )
         for _ in range(50):
             x = rng.uniform(-3, 3, (15, 2))
-            c0 = engine.consensus_point(engine.Ensemble(x), base, 5.0)
-            c1 = engine.consensus_point(engine.Ensemble(x + shift), shifted, 5.0)
+            c0 = consensus_of(x, base, 5.0)
+            c1 = consensus_of(x + shift, shifted, 5.0)
             np.testing.assert_allclose(c1, c0 + shift, atol=1e-10)
 
     def test_objective_offset_invariance(self):
@@ -200,54 +200,57 @@ class TestConsensusPoint:
             )
             for _ in range(100):
                 x = rng.uniform(-4, 4, (25, 1))
-                c0 = engine.consensus_point(engine.Ensemble(x), base, 8.0)
-                c1 = engine.consensus_point(engine.Ensemble(x), lifted, 8.0)
+                c0 = consensus_of(x, base, 8.0)
+                c1 = consensus_of(x, lifted, 8.0)
                 np.testing.assert_allclose(c1, c0, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", [5.0, 30.0, 1e15])
+    def test_bitwise_oracle(self, dim, alpha):
+        # one point per replication of a batch, and for one replication alone
+        x = np.random.default_rng(dim).uniform(-3, 3, (4, 300, dim))
+        e = objectives.rastrigin(dim).eval(x)
+        want = oracle.consensus(x, e, alpha)
+        assert np.array_equal(engine.consensus_point(x, e, alpha), want)
+        assert np.array_equal(engine.consensus_point(x[2], e[2], alpha), want[2])
+
+
+def one_step(x, obj, params, consensus=None):
+    """The positions of state 1 that ``engine.states`` reaches from ``x``."""
+    run = engine.states(engine.Ensemble(np.array(x, dtype=float)), obj, params,
+                        engine.NoiseSource(params.seed), consensus=consensus)
+    return [x.copy() for _, x, _, _ in run][1]
 
 
 class TestCboStep:
+    """One CBO step: ``engine.states`` with steps = 1, with known results."""
+
     def test_single_particle_unchanged(self):
         params = engine.CboParams(
             lam=1.0, sigma=0.5, alpha=1.0, dt=0.1, steps=1, n_particles=1, dim=1, seed=3
         )
-        ens = engine.Ensemble(np.array([[2.5]]))
-        out = engine.cbo_step(ens, quadratic1(), params, engine.NoiseSource(3))
-        assert np.array_equal(out.positions, ens.positions)
+        assert np.array_equal(one_step([[2.5]], quadratic1(), params), [[2.5]])
 
     def test_pinned_consensus_drift(self):
         params = engine.CboParams(
             lam=1.0, sigma=0.0, alpha=1.0, dt=0.01, steps=1, n_particles=1, dim=1, seed=0
         )
-        ens = engine.Ensemble(np.array([[1.0]]))
-        out = engine.cbo_step(
-            ens, quadratic1(), params,
-            increments=np.zeros((1, 1)), consensus=np.array([0.0]),
-        )
-        np.testing.assert_allclose(out.positions, [[0.99]], rtol=1e-15)
+        out = one_step([[1.0]], quadratic1(), params, consensus=np.zeros((2, 1)))
+        np.testing.assert_allclose(out, [[0.99]], rtol=1e-15)
 
     def test_argmin_consensus_two_particles(self):
         params = engine.CboParams(
             lam=1.0, sigma=0.0, alpha=1e15, dt=0.5, steps=1, n_particles=2, dim=1, seed=0
         )
-        ens = engine.Ensemble(np.array([[0.0], [2.0]]))
-        out = engine.cbo_step(ens, quadratic1(), params, engine.NoiseSource(0))
-        np.testing.assert_allclose(out.positions, [[0.0], [1.0]], atol=1e-15)
+        out = one_step([[0.0], [2.0]], quadratic1(), params)
+        np.testing.assert_allclose(out, [[0.0], [1.0]], atol=1e-15)
 
     def test_fixed_point_sigma0_n1(self):
         params = engine.CboParams(
             lam=2.0, sigma=0.0, alpha=3.0, dt=0.05, steps=1, n_particles=1, dim=2, seed=1
         )
-        ens = engine.Ensemble(np.array([[0.3, -0.7]]))
-        out = engine.cbo_step(ens, objectives.quadratic(2), params, engine.NoiseSource(1))
-        assert np.array_equal(out.positions, ens.positions)
-
-    def test_time_advances_by_dt(self):
-        params = engine.CboParams(
-            lam=1.0, sigma=0.1, alpha=1.0, dt=0.25, steps=1, n_particles=3, dim=1, seed=4
-        )
-        ens = engine.Ensemble(np.zeros((3, 1)))
-        out = engine.cbo_step(ens, quadratic1(), params, engine.NoiseSource(4))
-        assert out.time == 0.25
+        out = one_step([[0.3, -0.7]], objectives.quadratic(2), params)
+        assert np.array_equal(out, [[0.3, -0.7]])
 
     def test_divergence_carries_step_index(self):
         # energies stay finite (1e300) but lam * diff overflows the update
@@ -255,17 +258,10 @@ class TestCboStep:
             lam=1e308, sigma=0.0, alpha=1e-8, dt=1.0, steps=3,
             n_particles=2, dim=1, seed=0,
         )
-        ens = engine.Ensemble(np.array([[0.0], [1e150]]))
-        noise = engine.NoiseSource(0)
         with pytest.raises(DivergenceError) as err:
-            engine.cbo_step(ens, quadratic1(), params, noise)
-        assert err.value.step == 0
-        assert err.value.particle == 1
-        # the step index is the caller's, not derived from the ensemble time
-        with pytest.raises(DivergenceError) as err:
-            engine.cbo_step(ens, quadratic1(), params, noise, step=5)
-        assert (err.value.step, err.value.particle) == (5, 1)
-        assert "particle 1" in str(err.value) and "step 5" in str(err.value)
+            one_step([[0.0], [1e150]], quadratic1(), params)
+        assert (err.value.step, err.value.particle) == (0, 1)
+        assert "particle 1" in str(err.value) and "step 0" in str(err.value)
 
     def test_ramp_h_deactivates_drift_for_better_particles(self):
         # particle strictly better than the pinned consensus keeps its position
@@ -273,13 +269,9 @@ class TestCboStep:
             lam=1.0, sigma=0.0, alpha=1.0, dt=0.1, steps=1, n_particles=2, dim=1,
             h_variant=engine.RampHeaviside(1e-9), seed=0,
         )
-        ens = engine.Ensemble(np.array([[0.1], [3.0]]))
-        out = engine.cbo_step(
-            ens, quadratic1(), params,
-            increments=np.zeros((2, 1)), consensus=np.array([2.0]),
-        )
-        assert out.positions[0, 0] == 0.1          # E(0.1) < E(2): drift off
-        assert out.positions[1, 0] == pytest.approx(2.9)  # E(3) > E(2): drift on
+        out = one_step([[0.1], [3.0]], quadratic1(), params, consensus=np.full((2, 1), 2.0))
+        assert out[0, 0] == 0.1          # E(0.1) < E(2): drift off
+        assert out[1, 0] == pytest.approx(2.9)  # E(3) > E(2): drift on
 
 
 def counting(obj, calls, nan_from=None, particle=0):
@@ -296,26 +288,14 @@ def counting(obj, calls, nan_from=None, particle=0):
     return dataclasses.replace(obj, eval=eval_)
 
 
-def two_pass_records(dist, obj, params, plan):
-    """Reference: a plain loop of cbo_step, recording each state with the
-    public metrics and a separate consensus_point evaluation."""
-    ens = engine.sample_initial(dist, params.n_particles, params.dim, params.seed)
-    noise = engine.NoiseSource(params.seed)
-    vstar = obj.minimizer
-    records = []
-    for k in range(params.steps + 1):
-        if k:
-            ens = engine.cbo_step(ens, obj, params, noise, step=k - 1)
-        if k % plan.stride == 0:
-            c = engine.consensus_point(ens, obj, params.alpha)
-            v = metrics.v_functional(ens, vstar)
-            records.append(metrics.MetricsRecord(
-                t=ens.time, v_func=v, variance=metrics.variance(ens), w2_sq=2.0 * v,
-                consensus_dist=float(np.linalg.norm(c - vstar)),
-                ball_mass={float(r): metrics.ball_mass(ens, vstar, r) for r in plan.ball_radii},
-                moment4=metrics.moment4_stat(ens),
-            ))
-    return records, ens
+def oracle_records(dist, obj, params, plan):
+    """Reference: the records of the oracle's states at the plan's stride,
+    and the final positions."""
+    x0 = engine.sample_initial(dist, params.n_particles, params.dim, params.seed).positions
+    run = oracle.states(x0, obj, params, engine.NoiseSource(params.seed))
+    records = [oracle.record(k * params.dt, x, obj.minimizer, c, plan.ball_radii)
+               for k, x, _, c in run if k % plan.stride == 0]
+    return records, run[-1][1]
 
 
 class TestStates:
@@ -336,11 +316,11 @@ class TestStates:
         obj = objectives.rastrigin(1)
         p = engine.CboParams(steps=20, **self.P)
         plan = metrics.RecordingPlan(stride=stride, ball_radii=(0.25, 0.5, 1.0))
-        want, final = two_pass_records(self.DIST, obj, p, plan)
+        want, final = oracle_records(self.DIST, obj, p, plan)
         res = engine.simulate(self.DIST, obj, p, plan)
         assert res.series.records == want
-        assert np.array_equal(res.final.positions, final.positions)
-        assert res.final.time == final.time
+        assert np.array_equal(res.final.positions, final)
+        assert res.final.time == p.steps * p.dt
 
     def test_yields_every_state_once(self):
         p = engine.CboParams(steps=6, **self.P)
@@ -350,7 +330,7 @@ class TestStates:
         for k, x, e, c in engine.states(ens, obj, p, engine.NoiseSource(p.seed)):
             ks.append(k)
             assert np.array_equal(e, obj.eval(x))
-            assert np.array_equal(c, engine.consensus_point(engine.Ensemble(x), obj, p.alpha))
+            assert np.array_equal(c, oracle.consensus(x, obj.eval(x), p.alpha))
         assert ks == list(range(p.steps + 1))
 
     def test_pinned_const_one_evaluates_nothing(self):
@@ -435,27 +415,6 @@ class TestBatchedStates:
         assert (err.value.step, err.value.particle, err.value.seed) == (3, 7, 12)
         msg = str(err.value)
         assert "particle 7" in msg and "step 3" in msg and "seed 12" in msg
-        # a batched cbo_step names the replication's seed the same way
-        obj = counting(objectives.rastrigin(1), [], nan_from=0, particle=(1, 7))
-        with pytest.raises(NumericDomainError) as err:
-            engine.cbo_step(batch, obj, p, engine.NoiseBatch(self.SEEDS), step=4)
-        assert (err.value.step, err.value.particle, err.value.seed) == (4, 7, 12)
-
-
-def two_pass_states(ens, obj, p, noise, consensus=None):
-    """Reference: a plain loop of cbo_step, each state's energies and a
-    separate consensus_point evaluation; copies of every state."""
-    need_energies = consensus is None or not isinstance(p.h_variant, engine.ConstOne)
-    out = []
-    for k in range(p.steps + 1):
-        if k:
-            pinned = None if consensus is None else consensus[k - 1]
-            ens = engine.cbo_step(ens, obj, p, noise, consensus=pinned, step=k - 1)
-        x = ens.positions
-        e = obj.eval(x) if need_energies else None
-        c = engine.consensus_point(ens, obj, p.alpha) if consensus is None else consensus[k]
-        out.append((k, x.copy(), e, c))
-    return out
 
 
 def nan_on_row(obj, marker, from_eval):
@@ -506,9 +465,8 @@ class TestBlocks:
         def noise():
             return engine.NoiseBatch(seeds) if batch else engine.NoiseSource(seeds[0])
 
-        # the reference steps the whole array as one block
-        monkeypatch.setattr(metrics, "BLOCK_ROWS", 10**9)
-        want = two_pass_states(engine.Ensemble(x0), obj, p, noise(), consensus)
+        # the oracle steps the whole array at once
+        want = oracle.states(x0, obj, p, noise(), consensus)
         monkeypatch.setattr(metrics, "BLOCK_ROWS", block)
         assert len(metrics.row_blocks(x0.shape)) == 3
         got = engine.states(engine.Ensemble(x0), obj, p, noise(), consensus=consensus)

@@ -17,6 +17,7 @@ RECORDED_WITH = "numpy 2.4.6"
 GOLDEN = {
     "run_rastrigin/metrics.csv": "cd84b22d75cf52c5ac99a39d24ff1d86c754b2b95c133e79653f19cb4b4daae2",
     "run_rastrigin/summary.txt": "4697189efea7d7462c6290faa6fdf1ad177c0dcd853dbb7e14e595634ad0d780",
+    "run_rastrigin/theory.txt": "61ebfd07ee3ea1c30c195a57d846c933540b893c5762814ed40a5195f996f359",
     "mfa_sweep/sweep.csv": "5310f00034edb4da5014c6d6c45017fce1fba7763fb2de706e1bb21db60bca62",
     "mfa_sweep/summary.txt": "26b47d1d55e980acb99cd4408f90a7aca47df5782bcff5062260e14fc2cf4f62",
     "fig_trajectories/mean_trajectories.csv":
@@ -48,6 +49,7 @@ def _config_into(tmp_path, name):
 
 def test_fixed_seed_outputs_byte_identical(tmp_path):
     assert cli.main(["run", _config_into(tmp_path, "run_rastrigin")]) == 0
+    assert cli.main(["theory", _config_into(tmp_path, "run_rastrigin")]) == 0
     assert cli.main(["preset", "mfa-sweep", _config_into(tmp_path, "mfa_sweep")]) == 0
     assert cli.main(["preset", "fig-trajectories", "--runs", "2", "--n", "60",
                      "--out", str(tmp_path / "fig_trajectories")]) == 0

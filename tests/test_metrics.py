@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import oracle
 import pytest
 
 from cbo import metrics
@@ -11,33 +12,38 @@ def ens(*rows):
     return np.array(rows, dtype=float).reshape(len(rows), -1)
 
 
+def record(x, vstar=None, radii=()):
+    """``snapshot`` of the positions ``x``, with the consensus point at v*."""
+    return metrics.snapshot(0.0, x, vstar, vstar, radii)
+
+
 class TestVFunctional:
     def test_symmetric_pair(self):
-        assert metrics.v_functional(ens(1.0, -1.0), np.zeros(1)) == 0.5
+        assert record(ens(1.0, -1.0), np.zeros(1)).v_func == 0.5
 
     def test_at_minimizer(self):
-        assert metrics.v_functional(ens(2.0, 2.0), np.array([2.0])) == 0.0
+        assert record(ens(2.0, 2.0), np.array([2.0])).v_func == 0.0
 
     def test_off_center(self):
-        assert metrics.v_functional(ens(3.0, 1.0), np.array([1.0])) == 1.0
+        assert record(ens(3.0, 1.0), np.array([1.0])).v_func == 1.0
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((40, 3))
         vstar = rng.standard_normal(3)
         perm = rng.permutation(40)
-        assert metrics.v_functional(x, vstar) == metrics.v_functional(x[perm], vstar)
+        assert record(x, vstar).v_func == record(x[perm], vstar).v_func
 
 
 class TestVariance:
     def test_symmetric_pair(self):
-        assert metrics.variance(ens(1.0, -1.0)) == 0.5
+        assert record(ens(1.0, -1.0)).variance == 0.5
 
     def test_point_mass(self):
-        assert metrics.variance(ens(2.0, 2.0)) == 0.0
+        assert record(ens(2.0, 2.0)).variance == 0.0
 
     def test_three_points(self):
-        np.testing.assert_allclose(metrics.variance(ens(0.0, 1.0, 2.0)), 1.0 / 3.0)
+        np.testing.assert_allclose(record(ens(0.0, 1.0, 2.0)).variance, 1.0 / 3.0)
 
     def test_identity_with_v_functional(self):
         # Var = V - ||mean - v*||^2 / 2 and hence Var <= V
@@ -47,35 +53,55 @@ class TestVariance:
             d = int(rng.integers(1, 5))
             x = rng.standard_normal((n, d)) * rng.uniform(0.1, 5)
             vstar = rng.standard_normal(d)
-            v = metrics.v_functional(x, vstar)
-            var = metrics.variance(x)
+            rec = record(x, vstar)
             gap = x.mean(axis=0) - vstar
-            np.testing.assert_allclose(var, v - 0.5 * float(gap @ gap), atol=1e-10)
-            assert var <= v + 1e-12
+            np.testing.assert_allclose(rec.variance, rec.v_func - 0.5 * float(gap @ gap),
+                                       atol=1e-10)
+            assert rec.variance <= rec.v_func + 1e-12
 
 
 class TestBallMass:
     def test_count(self):
         x = ens(0.0, 0.05, 2.0)
-        np.testing.assert_allclose(metrics.ball_mass(x, np.zeros(1), 0.1), 2.0 / 3.0)
+        np.testing.assert_allclose(record(x, np.zeros(1), (0.1,)).ball_mass[0.1], 2.0 / 3.0)
 
     def test_infinite_radius(self):
         x = ens(0.0, 100.0)
-        assert metrics.ball_mass(x, np.zeros(1), math.inf) == 1.0
+        assert record(x, np.zeros(1), (math.inf,)).ball_mass[math.inf] == 1.0
 
     def test_all_outside(self):
-        assert metrics.ball_mass(ens(5.0, -7.0), np.zeros(1), 1.0) == 0.0
+        assert record(ens(5.0, -7.0), np.zeros(1), (1.0,)).ball_mass[1.0] == 0.0
 
     def test_monotone_in_radius(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((200, 2))
         radii = np.sort(rng.uniform(0.01, 4.0, 20))
-        masses = [metrics.ball_mass(x, np.zeros(2), r) for r in radii]
+        masses = list(record(x, np.zeros(2), radii).ball_mass.values())
         assert all(a <= b for a, b in zip(masses, masses[1:]))
 
     def test_requires_positive_radius(self):
         with pytest.raises(InvalidInputError):
-            metrics.ball_mass(ens(0.0), np.zeros(1), 0.0)
+            metrics.RecordingPlan(ball_radii=(0.0,))
+
+
+class TestSnapshot:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_blocks_match_whole_array_oracle(self, monkeypatch, dim):
+        # three row blocks, the last one partial, against the oracle's
+        # whole-array functionals, bit for bit
+        monkeypatch.setattr(metrics, "BLOCK_ROWS", 64)
+        rng = np.random.default_rng(dim)
+        x = rng.standard_normal((150, dim)) * 2.0
+        vstar, c = rng.standard_normal(dim), rng.standard_normal(dim)
+        radii = (0.5, 1.0, 2.5)
+        want = oracle.record(0.25, x, vstar, c, radii)
+        assert metrics.snapshot(0.25, x, vstar, c, radii) == want
+        assert metrics.snapshot(0.25, x, vstar, c, radii, np.full(150, np.nan)) == want
+
+    def test_without_minimizer(self):
+        rec = metrics.snapshot(0.0, ens(1.0, -1.0), None, np.zeros(1), (0.5,))
+        assert math.isnan(rec.v_func) and math.isnan(rec.consensus_dist)
+        assert rec.ball_mass == {} and rec.variance == 0.5 and rec.moment4 == 1.0
 
 
 class TestMoment4:

@@ -3,9 +3,10 @@ import threading
 from dataclasses import replace
 
 import numpy as np
+import oracle
 import pytest
 
-from cbo import engine, metrics, mfa, objectives
+from cbo import engine, mfa, objectives
 from cbo.errors import InvalidInputError
 
 
@@ -20,6 +21,21 @@ def params(**kw):
 
 DIST = engine.GaussianIsotropic((1.0,), 1.0)
 OBJ = objectives.quadratic(1)
+
+
+def oracle_coupled(seed, p, points):
+    """The positions of the interacting system (a) and of the system (b)
+    pinned to ``points`` at the states 0..steps of one replication, stepped
+    one seed at a time by the test oracle with the same increments."""
+    a = b = engine.sample_initial(DIST, p.n_particles, 1, seed).positions
+    noise = engine.NoiseSource(seed)
+    yield a, b
+    for k in range(p.steps):
+        inc = noise.increments(k, p.n_particles, 1, p.dt)
+        e = OBJ.eval(a)
+        a = oracle.step(a, e, oracle.consensus(a, e, p.alpha), inc, OBJ, p)
+        b = oracle.step(b, None, points[k], inc, OBJ, p)
+        yield a, b
 
 
 class TestReferenceTrajectory:
@@ -65,9 +81,9 @@ class TestCoupledError:
 
     def test_increments_shared_bitwise(self):
         # coupled_error steps the seeds as batches (here 2 + 1 at 3000
-        # particles); it must equal, bitwise, a plain per-seed loop of
-        # two-pass cbo_step calls in which systems (a) and (b) are handed
-        # the same increments at each step
+        # particles); it must equal, bitwise, the oracle's per-seed loop in
+        # which systems (a) and (b) are handed the same increments at each
+        # step
         p = params(steps=3, n_particles=3000)
         assert mfa.BATCH_PARTICLES // p.n_particles == 2
         ref = mfa.reference_consensus_trajectory(
@@ -75,15 +91,9 @@ class TestCoupledError:
         seeds = [42, 43, 44]
         sups = []
         for s in seeds:
-            a = b = engine.sample_initial(DIST, p.n_particles, 1, s)
-            noise = engine.NoiseSource(s)
             gap_sup = np.zeros(p.n_particles)
-            for k in range(p.steps):
-                inc = noise.increments(k, p.n_particles, 1, p.dt)
-                a = engine.cbo_step(a, OBJ, p, increments=inc, step=k)
-                b = engine.cbo_step(b, OBJ, p, increments=inc, step=k,
-                                    consensus=ref.points[k])
-                gap = a.positions - b.positions
+            for a, b in oracle_coupled(s, p, ref.points):
+                gap = a - b
                 gap_sup = np.maximum(gap_sup, (gap * gap).sum(axis=1))
             sups.append(gap_sup)
         assert sups[0].max() > 0
@@ -107,8 +117,8 @@ class TestCoupledError:
     def test_length_precondition(self):
         p = params(steps=20)
         with pytest.raises(InvalidInputError):
-            mfa.coupled_error(DIST, OBJ, p, np.zeros((5, 1)), seeds=[1],
-                              m_threshold=1.0)
+            short = mfa.ReferenceTrajectory(np.zeros((5, 1)), moment4_sup=0.0, n_ref=100)
+            mfa.coupled_error(DIST, OBJ, p, short, seeds=[1], m_threshold=1.0)
 
     def test_conditioning_matches_moment4_event(self):
         # recompute each replication's sup moment4 independently and check
@@ -121,20 +131,12 @@ class TestCoupledError:
         sups_m4 = []
         sups_err = []
         for s in seeds:
-            init = engine.sample_initial(DIST, p.n_particles, 1, s)
-            a = engine.Ensemble(init.positions.copy())
-            b = engine.Ensemble(init.positions.copy())
-            noise = engine.NoiseSource(s)
-            m4 = metrics.moment4_stat(a, b)
+            m4 = 0.0
             gap_sup = np.zeros(p.n_particles)
-            for k in range(p.steps):
-                inc = noise.increments(k, p.n_particles, 1, p.dt)
-                a = engine.cbo_step(a, OBJ, p, increments=inc)
-                b = engine.cbo_step(b, OBJ, p, increments=inc,
-                                    consensus=ref.points[k])
-                gap = a.positions - b.positions
+            for a, b in oracle_coupled(s, p, ref.points):
+                gap = a - b
                 gap_sup = np.maximum(gap_sup, (gap * gap).sum(axis=1))
-                m4 = max(m4, metrics.moment4_stat(a, b))
+                m4 = max(m4, float(oracle.moment4(a, b)))
             sups_m4.append(m4)
             sups_err.append(gap_sup)
 

@@ -1,6 +1,8 @@
 import math
+from dataclasses import replace
 
 import numpy as np
+import oracle
 import pytest
 
 from cbo import engine, objectives, theory
@@ -314,7 +316,7 @@ class TestAudits:
     def test_single_point_measure_at_vstar(self):
         obj = objectives.quadratic(2)
         x = np.zeros((1, 2))
-        cons = engine.consensus_point(engine.Ensemble(x), obj, 5.0)
+        cons = engine.consensus_point(x, obj.eval(x), 5.0)
         bound = theory.laplace_bound(0.0, 1.0, 5.0, 0.5, 0.0, obj.eta, obj.nu)
         assert np.linalg.norm(cons) <= bound
 
@@ -333,28 +335,52 @@ class TestAudits:
 
     @pytest.mark.parametrize("stride", [1, 4])
     def test_mass_audit_matches_two_pass_loop(self, stride):
-        # reference: a plain loop of cbo_step with a separate consensus_point
-        # evaluation per state
+        # reference: the test oracle's states, then each state's consensus
+        # distance and mollified mass in a second pass
         obj = objectives.rastrigin(1)
         dist = engine.GaussianIsotropic((1.0,), 0.8)
         params = engine.CboParams(
             lam=1.0, sigma=0.5, alpha=1e15, dt=0.01, steps=30,
             n_particles=500, dim=1, seed=6,
         )
-        ens = engine.sample_initial(dist, params.n_particles, 1, params.seed)
-        noise = engine.NoiseSource(params.seed)
-        cdists, phi = [], []
-        for k in range(params.steps + 1):
-            if k:
-                ens = engine.cbo_step(ens, obj, params, noise, step=k - 1)
-            cons = engine.consensus_point(ens, obj, params.alpha)
-            cdists.append(float(np.linalg.norm(cons - obj.minimizer)))
-            if k % stride == 0:
-                phi.append(float(np.mean(theory.mollifier(ens.positions, obj.minimizer, 1.0))))
+        x0 = engine.sample_initial(dist, params.n_particles, 1, params.seed).positions
+        run = oracle.states(x0, obj, params, engine.NoiseSource(params.seed))
+        cdists = [float(np.linalg.norm(c - obj.minimizer)) for _, _, _, c in run]
+        phi = [float(np.mean(theory.mollifier(x, obj.minimizer, 1.0)))
+               for k, x, _, _ in run if k % stride == 0]
         res = theory.mass_decay_audit(dist, obj, params, r=1.0, stride=stride)
         assert res.b_sup == max(cdists)
         assert np.array_equal(res.phi_mass, phi)
         assert np.array_equal(res.times, np.arange(0, params.steps + 1, stride) * params.dt)
+
+
+class TestOneEvaluationPerSample:
+    """Each sample's energies are evaluated once and shared by everything
+    computed from them, the consensus point included."""
+
+    def test_report_evaluates_the_sample_once(self):
+        calls = []
+        base = objectives.rastrigin(1)
+        obj = replace(base, eval=lambda v: calls.append(1) or base.eval(v))
+        params = engine.CboParams(lam=1.0, sigma=0.5, alpha=1e15, dt=0.01, steps=10,
+                                  n_particles=500, dim=1, seed=3)
+        ens0 = engine.sample_initial(engine.GaussianIsotropic((1.0,), 0.8), 500, 1, 3)
+        rep = theory.build_theory_report(obj, params, ens0, eps=0.01, tau=0.1)
+        assert any("b_bound defaulted" in note for note in rep.notes)
+        assert len(calls) == 1
+
+    def test_laplace_audit_evaluates_once_per_measure(self, monkeypatch):
+        calls = []
+        quadratic = objectives.quadratic
+
+        def counted(dim):
+            obj = quadratic(dim)
+            return replace(obj, eval=lambda v: calls.append(1) or obj.eval(v))
+
+        monkeypatch.setattr(objectives, "quadratic", counted)
+        res = theory.laplace_audit(n_measures=40, seed=5)
+        assert res.violations == 0
+        assert len(calls) == 40
 
 
 class TestReport:
