@@ -305,7 +305,7 @@ def run_simulation(cfg):
         "dt": cfg.params.dt,
         "seed": cfg.params.seed,
         "records": len(series.records),
-        "t_final": result.final.time,
+        "t_final": cfg.params.steps * cfg.params.dt,
         "endpoint_error": series.endpoint_error,
         "config_digest": series.config_digest,
     }
@@ -402,14 +402,15 @@ def preset_fig_trajectories(out_dir, runs, n, seed, steps, dt=0.01):
     tracked = np.asarray(FIG_TRAJ_TRACKED, dtype=float)
     n_total = n + len(tracked)
     _check_floats(n_total * 2, "fig_trajectories.n")
+    # the (runs, steps + 1, tracked agents, 2) trajectories, before any run starts
+    _check_floats(runs * (steps + 1) * len(tracked) * 2, "fig_trajectories.runs * (steps + 1)")
     params = engine.CboParams(
         lam=1.0, sigma=0.1, alpha=1e15, dt=dt, steps=steps,
         n_particles=n_total, dim=2, seed=seed,
     )
 
     def one_run(r):
-        base = engine.sample_initial(dist, n, 2, seed + r).positions
-        start = engine.Ensemble(np.vstack([base, tracked]))
+        start = np.vstack([engine.sample_initial(dist, n, 2, seed + r), tracked])
         traj = np.empty((steps + 1, len(tracked), 2))
         for k, x, _, _ in engine.states(start, obj, params, engine.NoiseSource(seed + r)):
             traj[k] = x[n:]
@@ -555,9 +556,9 @@ def run_theory(cfg):
     ))
     sample_n = params.n_particles if t["sample_n"] is None else t["sample_n"]
     _check_floats(sample_n * params.dim, "theory.sample_n")
-    ens0 = engine.sample_initial(cfg.init, sample_n, params.dim, params.seed)
+    x0 = engine.sample_initial(cfg.init, sample_n, params.dim, params.seed)
     report = theory.build_theory_report(
-        obj, params, ens0, eps=t["eps"], tau=t["tau"],
+        obj, params, x0, eps=t["eps"], tau=t["tau"],
         r=t["r"], b_bound=t["b_bound"], q_laplace=t["q_laplace"],
     )
     margin = report.margins

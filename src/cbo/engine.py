@@ -1,4 +1,4 @@
-"""Particle dynamics: ensemble state, stabilized consensus point, and the
+"""Particle dynamics: initial positions, stabilized consensus point, and the
 state iterator ``states``, the one stepping loop that drives every run with
 explicit Euler-Maruyama steps, and the simulation with metrics recording.
 
@@ -9,9 +9,9 @@ The update for agent i with step size dt reads
 
 where ``c`` is the consensus point frozen from the step's input snapshot and
 ``B_i ~ N(0, dt * I_d)``.  Gaussian increments for step k are a pure
-function of (seed, stream, k, particle row) via counter-based Philox
-streams, so runs are deterministic and independent of particle update
-order or thread count.
+function of (seed, k, particle row) via counter-based Philox streams, so
+runs are deterministic and independent of particle update order or thread
+count.
 
 Positions may carry a leading replication axis, (R, n, d): every reduction
 runs over the particle axis, so a batch of R independent runs steps as one
@@ -37,12 +37,10 @@ __all__ = [
     "CONST_ONE",
     "HVariant",
     "CboParams",
-    "Ensemble",
     "GaussianIsotropic",
     "UniformBox",
     "InitDistribution",
     "NoiseSource",
-    "NoiseBatch",
     "sample_initial",
     "consensus_point",
     "h_eval",
@@ -95,9 +93,9 @@ def h_eval(variant, x):
 # parameters and state
 
 
-def _check_seed(seed, what="seed"):
+def _check_seed(seed):
     if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 2**64:
-        raise ConfigError(f"{what} must be an unsigned 64-bit integer, got {seed!r}")
+        raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
     return int(seed)
 
 
@@ -143,27 +141,6 @@ class CboParams:
         return 2.0 * self.lam > self.dim * self.sigma**2
 
 
-@dataclass
-class Ensemble:
-    """N particle positions in R^d at one time instant (rows are agents), or
-    a batch of R such ensembles stacked on a leading axis, (R, n, dim)."""
-
-    positions: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=float)
-        if self.positions.ndim not in (2, 3) or 0 in self.positions.shape[:-1]:
-            raise ConfigError(
-                f"positions must be an (n, dim) matrix or an (R, n, dim) batch with "
-                f"n, R >= 1, got shape {self.positions.shape}"
-            )
-
-    @property
-    def dim(self):
-        return self.positions.shape[-1]
-
-
 @dataclass(frozen=True)
 class GaussianIsotropic:
     mean: tuple
@@ -186,88 +163,69 @@ _INIT_TAG = 0
 _DYNAMICS_TAG = 1
 
 
-def _philox(seed, tag, stream, block):
-    key = np.array([seed, tag], dtype=np.uint64)
-    counter = np.array([0, 0, stream, block], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+def _seed_tuple(seeds):
+    """``seeds``, an int or a sequence of ints, as a tuple, and the leading
+    shape of the arrays drawn for them: () for an int, (R,) for R seeds."""
+    if isinstance(seeds, (int, np.integer)):
+        return (_check_seed(seeds),), ()
+    seeds = tuple(_check_seed(s) for s in seeds)
+    return seeds, (len(seeds),)
 
 
 class NoiseSource:
-    """Deterministic Gaussian increment source for one (seed, stream) pair.
+    """Deterministic N(0, dt I) increments: (n, dim) per step for an int
+    seed, (R, n, dim) for a sequence of R seeds, whose row r is bitwise the
+    draw of ``NoiseSource(seeds[r])``.
 
-    Each step index owns a disjoint counter block, so increments can be
-    regenerated for any step, in any order, without replaying the stream.
-    An instance holds one Philox generator whose counter every call resets
-    to the step's block: it has state, so do not share an instance between
-    threads.  It keeps no increments: each call returns a new array, or the
-    caller's ``out``, which the caller owns.
-    """
-
-    def __init__(self, seed, stream=0):
-        self.seed = _check_seed(seed)
-        self.stream = _check_seed(stream, "stream")
-        self._bitgen = np.random.Philox(key=np.array([self.seed, _DYNAMICS_TAG], dtype=np.uint64))
-        self._gen = np.random.Generator(self._bitgen)
-        # the state of a freshly keyed generator: empty output buffer
-        self._state = self._bitgen.state
-
-    def increments(self, step, n, dim, dt, out=None):
-        """The (n, dim) matrix of N(0, dt I) increments for the given step,
-        drawn into ``out`` (a C-contiguous float (n, dim) array) and scaled
-        there in place when given."""
-        self._state["state"]["counter"][:] = (0, 0, self.stream, step)
-        self._bitgen.state = self._state
-        if out is None:
-            return self._gen.standard_normal((n, dim)) * math.sqrt(dt)
-        self._gen.standard_normal(out=out)
-        out *= math.sqrt(dt)
-        return out
-
-
-class NoiseBatch:
-    """Increments of a batch of replications: row r of each (R, n, dim)
-    draw is, bitwise, the draw of ``NoiseSource(seeds[r])``.
-
-    A call for another step than the one drawn last draws into ``out``, or
-    a new array when ``out`` is None.  A repeated call for the step drawn
-    last returns the array drawn then, without drawing again and without
-    writing ``out``, so iterators that step the same replications in
-    lockstep share each step's draw; as each iterator passes the array it
-    got as ``out`` of its next call, they share one buffer for the whole
-    run.  Like a ``NoiseSource``, an instance holds state: do not share it
-    between threads.
+    Each step owns a disjoint Philox counter block, so any step's increments
+    can be drawn in any order without replaying the stream.  A call for
+    another step than the one drawn last draws into ``out``, or into a new
+    array when ``out`` is None; a repeated call returns that step's array
+    without drawing again or writing ``out``.  So iterators that step the
+    same runs in lockstep, each passing the array it got as its next
+    ``out``, share each step's draw and one buffer for the whole run.  An
+    instance has state, so do not share it between threads.
     """
 
     def __init__(self, seeds):
-        self._sources = [NoiseSource(s) for s in seeds]
-        self.seeds = tuple(src.seed for src in self._sources)
+        self.seeds, self.shape = _seed_tuple(seeds)
+        # each draw sets the key and counter of a fresh generator's state
+        self._bitgen = np.random.Philox(0)
+        self._gen = np.random.Generator(self._bitgen)
+        self._state = self._bitgen.state
         self._drawn = self._buf = None
 
     def increments(self, step, n, dim, dt, out=None):
-        """The (R, n, dim) increments of every replication for the given step."""
+        """The increments of the given step, ``self.shape + (n, dim)``; ``out``,
+        when given, is a C-contiguous float array of that shape."""
         if self._drawn != (step, n, dim, dt):
-            self._buf = np.empty((len(self._sources), n, dim)) if out is None else out
-            for src, row in zip(self._sources, self._buf):
-                src.increments(step, n, dim, dt, out=row)
+            self._buf = np.empty(self.shape + (n, dim)) if out is None else out
+            state = self._state["state"]
+            state["counter"][:] = (0, 0, 0, step)
+            for seed, row in zip(self.seeds, self._buf if self.shape else (self._buf,)):
+                state["key"][:] = (seed, _DYNAMICS_TAG)
+                self._bitgen.state = self._state
+                self._gen.standard_normal(out=row)
+            self._buf *= math.sqrt(dt)
             self._drawn = (step, n, dim, dt)
         return self._buf
 
 
-def sample_initial(dist, n, dim, seed, stream=0):
-    """Draw n i.i.d. initial positions from the given distribution.
-
-    Deterministic given (seed, stream); the returned ensemble has time 0.
-    """
+def sample_initial(dist, n, dim, seeds):
+    """Draw n i.i.d. initial positions from the given distribution: an
+    (n, dim) array for an int seed, or an (R, n, dim) array for a sequence
+    of R seeds, whose row r is bitwise ``sample_initial(dist, n, dim,
+    seeds[r])``.  Deterministic given the seeds."""
+    seeds, shape = _seed_tuple(seeds)
     if n < 1 or dim < 1:
         raise ConfigError(f"need n >= 1 and dim >= 1, got n={n}, dim={dim}")
-    gen = _philox(_check_seed(seed), _INIT_TAG, _check_seed(stream, "stream"), 0)
     if isinstance(dist, GaussianIsotropic):
         mean = np.asarray(dist.mean, dtype=float)
         if mean.shape != (dim,):
             raise ConfigError(f"mean has shape {mean.shape}, expected ({dim},)")
         if not dist.variance > 0:
             raise ConfigError(f"variance must be positive, got {dist.variance}")
-        x = mean + math.sqrt(dist.variance) * gen.standard_normal((n, dim))
+        shift, scale, draw = mean, math.sqrt(dist.variance), np.random.Generator.standard_normal
     elif isinstance(dist, UniformBox):
         lo = np.asarray(dist.lo, dtype=float)
         hi = np.asarray(dist.hi, dtype=float)
@@ -277,10 +235,17 @@ def sample_initial(dist, n, dim, seed, stream=0):
             )
         if not np.all(lo < hi):
             raise ConfigError("degenerate box: lo < hi must hold componentwise")
-        x = lo + (hi - lo) * gen.random((n, dim))
+        shift, scale, draw = lo, hi - lo, np.random.Generator.random
     else:
         raise ConfigError(f"unknown initial distribution {dist!r}")
-    return Ensemble(x, time=0.0)
+    x = np.empty(shape + (n, dim))
+    for seed, row in zip(seeds, x if shape else (x,)):
+        key = np.array([seed, _INIT_TAG], dtype=np.uint64)
+        draw(np.random.Generator(np.random.Philox(key=key)), out=row)
+        # shift + scale * draw, computed in place
+        row *= scale
+        row += shift
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +344,6 @@ def _step(x, out, obj, params, c, energies, increments, step, seeds, new_energie
     whole-array step would compute it, so the result does not depend on the
     block size; errors name the first failing particle of the whole array.
     """
-    if increments.shape != x.shape:
-        raise ConfigError(f"increments have shape {increments.shape}, expected {x.shape}")
     c = c[..., None, :]  # broadcasts over the particle axis
     ramp = not isinstance(params.h_variant, ConstOne)
     if ramp:
@@ -422,46 +385,45 @@ def _step(x, out, obj, params, c, energies, increments, step, seeds, new_energie
     return functools.reduce(np.minimum, mins) if mins else None
 
 
-def states(ens, obj, params, noise, consensus=None):
+def states(x, obj, params, noise, consensus=None):
     """Yield ``(k, positions, energies, consensus)`` for the states k = 0..steps
-    reached from ``ens``, evaluating each state's energies and consensus once
-    and reusing them in the step to state k + 1 (increments from
-    ``noise.increments(k, n, dim, dt, out=inc)``, where ``inc`` is None for
-    the first step and then the array the previous call returned).  A pinned
-    ``consensus`` is indexed by k; with ``ConstOne`` it needs no energies
-    and None is yielded.
+    reached from the positions ``x``, evaluating each state's energies and
+    consensus once and reusing them in the step to state k + 1.  A pinned
+    ``consensus`` is indexed by k; with ``ConstOne`` it needs no energies and
+    None is yielded.
 
-    A batch, positions (R, n, dim), steps R replications at once, bit for
-    bit as R separate runs: energies are then (R, n) and a free consensus
-    (R, dim), ``noise`` must give (R, n, dim) increments (a ``NoiseBatch``,
-    whose ``seeds`` then name the failing replication in errors), and each
-    pinned consensus entry is shared by every replication.
+    ``x`` is (n, dim) for a ``NoiseSource`` of one seed, or a batch (R, n,
+    dim) for one of R seeds, which steps R replications bit for bit as R
+    separate runs: energies are then (R, n), a free consensus (R, dim), each
+    pinned entry is shared by every replication, and errors name the failing
+    replication's seed.
 
     The step and the next state's energies run over cache-sized row blocks
     (``metrics.row_blocks``) in one pass, so ``obj.eval`` is called once per
-    block and must compute each row's energy from that row alone.  The
-    pass works in a workspace that lives from the first step until the last
-    state is reached: the positions and energies are updated in place, and
-    each step's increments are drawn into the array of the step before,
-    which the iterator keeps and ``noise`` wrote (a ``NoiseBatch`` stepped
-    by two iterators in lockstep hands both the same one).  So the
+    block and must compute each row's energy from that row alone.  The pass
+    works in place, in a workspace that lives from the first step until the
+    last state: ``noise.increments(k, n, dim, dt, out=inc)`` draws each
+    step's increments into ``inc``, the array of the step before (two
+    iterators stepping one ``NoiseSource`` in lockstep share it).  So the
     yielded positions and energies stay valid only until the iterator is
-    resumed; copy them to keep them, and do not modify them.  The positions
-    of state 0 are the caller's array, which is never written.  A yielded
-    consensus is a new array (or the pinned entry) each state.  ``noise``
-    holds generator state, so a run in each thread needs its own."""
-    if obj.dim != ens.dim:
-        raise ConfigError(f"objective dim {obj.dim} != ensemble dim {ens.dim}")
-    x, ens = ens.positions, None  # no reference to state 0 outlives its step
+    resumed; copy them to keep them, and do not modify them.  State 0 is the
+    caller's array, never written and let go of after the first step.  A
+    yielded consensus is a new array (or the pinned entry) each state.
+    ``noise`` holds generator state, so a run in each thread needs its own."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != len(noise.shape) + 2 or x.shape[:-2] != noise.shape or 0 in x.shape[:-1]:
+        want = f"(R, n, dim) for R = {len(noise.seeds)} seeds" if noise.shape else "(n, dim)"
+        raise ConfigError(f"positions must be {want}, with n, R >= 1, got shape {x.shape}")
     n, d = x.shape[-2:]
-    seeds = getattr(noise, "seeds", None)
+    if obj.dim != d:
+        raise ConfigError(f"objective dim {obj.dim} != ensemble dim {d}")
     blocks = row_blocks(x.shape)
     free = consensus is None
     if not free:
         consensus = np.asarray(consensus, dtype=float)
     e = emin = None
     if free or not isinstance(params.h_variant, ConstOne):
-        e, emin = _energies(obj, x, 0, seeds, blocks)
+        e, emin = _energies(obj, x, 0, noise.seeds, blocks)
     inc = w = xw = None
     for k in range(params.steps + 1):
         if k:
@@ -472,11 +434,12 @@ def states(ens, obj, params, noise, consensus=None):
                     w, xw = np.empty(x.shape[:-1]), np.empty(x.shape)
             # each draw goes into the array the previous one came in
             inc = noise.increments(k - 1, n, d, params.dt, out=inc)
-            emin = _step(x, new, obj, params, c, e, inc, k - 1, seeds, e, blocks)
+            emin = _step(x, new, obj, params, c, e, inc, k - 1, noise.seeds, e, blocks)
             x = new
         c = _weighted_consensus(x, e, emin, params.alpha, w, xw) if free else consensus[k]
         if k == params.steps:
-            inc = w = xw = None  # the last state holds only its positions and energies
+            # the last state holds only its positions and energies
+            inc = w = xw = noise = None
         yield k, x, e, c
 
 
@@ -487,7 +450,7 @@ def states(ens, obj, params, noise, consensus=None):
 @dataclass
 class SimulationResult:
     series: MetricsSeries
-    final: Ensemble
+    final: np.ndarray  # the positions of the last state
 
 
 def config_digest(dist, obj, params, plan):
@@ -504,7 +467,7 @@ def config_digest(dist, obj, params, plan):
     return hashlib.sha256(repr(parts).encode()).hexdigest()
 
 
-def simulate(dist, obj, params, record=RecordingPlan(), stream=0):
+def simulate(dist, obj, params, record=RecordingPlan()):
     """Run the scheme for ``params.steps`` steps and collect metrics.
 
     Records the t = 0 state and then every ``record.stride`` steps.  When the
@@ -515,8 +478,8 @@ def simulate(dist, obj, params, record=RecordingPlan(), stream=0):
     """
     digest = config_digest(dist, obj, params, record)
     # no reference to state 0 outlives the iterator's own
-    run = states(sample_initial(dist, params.n_particles, params.dim, params.seed, stream),
-                 obj, params, NoiseSource(params.seed, stream))
+    run = states(sample_initial(dist, params.n_particles, params.dim, params.seed),
+                 obj, params, NoiseSource(params.seed))
     records = []
     work = np.empty(params.n_particles)  # the per-particle terms of every record
     try:
@@ -533,4 +496,4 @@ def simulate(dist, obj, params, record=RecordingPlan(), stream=0):
         gap = x.mean(axis=0) - obj.minimizer
         endpoint = float(np.dot(gap, gap))
     series = MetricsSeries(records, endpoint, digest)
-    return SimulationResult(series=series, final=Ensemble(x, time=k * params.dt))
+    return SimulationResult(series=series, final=x)

@@ -88,13 +88,10 @@ def _coupled_sups(dist, obj, params, points, seeds):
     """Per replication of ``seeds``, stepped as one batch: the sup over time
     of each particle's squared gap, (R, n), and of the coupled fourth-moment
     statistic, (R,)."""
-    init = engine.Ensemble(np.stack([
-        engine.sample_initial(dist, params.n_particles, params.dim, s).positions
-        for s in seeds
-    ]))
+    init = engine.sample_initial(dist, params.n_particles, params.dim, seeds)
     # the two systems step in lockstep, so each step's increments are drawn
     # once and read by both
-    noise = engine.NoiseBatch(seeds)
+    noise = engine.NoiseSource(seeds)
     coupled = zip(
         engine.states(init, obj, params, noise),
         engine.states(init, obj, params, noise, consensus=points),

@@ -378,11 +378,11 @@ class TheoryReport:
     notes: tuple = ()
 
 
-def build_theory_report(obj, params, ens0, eps, tau, r=None, b_bound=None,
+def build_theory_report(obj, params, x0, eps, tau, r=None, b_bound=None,
                         q_laplace=None):
     """Assemble a TheoryReport for an objective/parameter pair.
 
-    ``ens0`` is a sample of the initial measure used for all empirical
+    ``x0`` is an (n, dim) sample of the initial measure used for all empirical
     surrogates (ball masses, energy sample, first moment).  ``r`` defaults
     to the median distance of the sample to the minimizer, ``b_bound`` to
     the consensus distance of the sample, and ``q_laplace`` to ``eps``.
@@ -395,10 +395,9 @@ def build_theory_report(obj, params, ens0, eps, tau, r=None, b_bound=None,
     ]
     d = params.dim
     vstar = obj.minimizer
-    x = ens0.positions
-    dists = np.linalg.norm(x - vstar, axis=1)
-    energies = np.asarray(obj.eval(x), dtype=float)
-    rec0 = snapshot(0.0, x, vstar, engine.consensus_point(x, energies, params.alpha), ())
+    dists = np.linalg.norm(x0 - vstar, axis=1)
+    energies = np.asarray(obj.eval(x0), dtype=float)
+    rec0 = snapshot(0.0, x0, vstar, engine.consensus_point(x0, energies, params.alpha), ())
 
     c = find_c(d)
     if r is None:

@@ -106,6 +106,11 @@ class TestConfigErrors:
         # an output directory that cannot be made: "taken" is a file
         *((route, ("outputs",), "taken", "outputs: cannot write taken")
           for route in ("run", "fig_variance", "fig_trajectories", "theory", "mfa", "audit")),
+        # in range, but the trajectories they size hold more floats than any
+        # array: rejected before a run starts
+        ("fig_trajectories", ("params", "steps"), 2**62, "fig_trajectories.runs * (steps + 1)"),
+        ("fig_trajectories", ("fig_trajectories", "runs"), 2**62,
+         "fig_trajectories.runs * (steps + 1)"),
     ])
     def test_bad_value_on_each_route_exit_2_names_key(self, tmp_path, capsys, monkeypatch,
                                                       route, path, value, named):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import oracle
@@ -56,53 +57,76 @@ class TestSampleInitial:
 
     def test_gaussian_clt_oracle(self):
         n = 100_000
-        ens = engine.sample_initial(engine.GaussianIsotropic((0.0,), 1.0), n, 1, 123)
-        assert abs(ens.positions.mean()) <= 4.0 / math.sqrt(n)
+        x = engine.sample_initial(engine.GaussianIsotropic((0.0,), 1.0), n, 1, 123)
+        assert abs(x.mean()) <= 4.0 / math.sqrt(n)
 
     def test_same_seed_bit_identical(self):
         dist = engine.GaussianIsotropic((1.0, 2.0), 0.5)
         a = engine.sample_initial(dist, 500, 2, 99)
         b = engine.sample_initial(dist, 500, 2, 99)
-        assert np.array_equal(a.positions, b.positions)
-        assert a.time == 0.0
+        assert np.array_equal(a, b)
 
     def test_uniform_respects_box(self):
         dist = engine.UniformBox((-1.0, 0.0), (1.0, 3.0))
-        ens = engine.sample_initial(dist, 1000, 2, 5)
-        assert np.all(ens.positions >= [-1.0, 0.0])
-        assert np.all(ens.positions <= [1.0, 3.0])
+        x = engine.sample_initial(dist, 1000, 2, 5)
+        assert np.all(x >= [-1.0, 0.0])
+        assert np.all(x <= [1.0, 3.0])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigError):
             engine.sample_initial(engine.GaussianIsotropic((0.0,), 1.0), 10, 2, 0)
+
+    @pytest.mark.parametrize("dist", [engine.GaussianIsotropic((1.0, -2.0), 0.7),
+                                      engine.UniformBox((-1.0, 0.0), (1.0, 3.0))])
+    def test_seed_sequence_rows_bitwise(self, dist):
+        seeds = [4, 9, 2]
+        x = engine.sample_initial(dist, 300, 2, seeds)
+        assert x.shape == (3, 300, 2)
+        for row, seed in zip(x, seeds):
+            assert np.array_equal(row, engine.sample_initial(dist, 300, 2, seed))
+        assert engine.sample_initial(dist, 300, 2, seeds[:1]).shape == (1, 300, 2)
+
+
+def fresh_increments(seed, step, n, d, dt):
+    """The increments of a generator built for this seed and step alone
+    (key word 1 tags the dynamics, as against the initial draw)."""
+    bitgen = np.random.Philox(key=np.array([seed, 1], dtype=np.uint64),
+                              counter=np.array([0, 0, 0, step], dtype=np.uint64))
+    return np.random.Generator(bitgen).standard_normal((n, d)) * math.sqrt(dt)
 
 
 class TestNoiseSource:
     def test_repeatable_and_step_dependent(self):
         src = engine.NoiseSource(7)
         a = src.increments(0, 8, 2, 0.01)
-        assert np.array_equal(a, src.increments(0, 8, 2, 0.01))
-        assert not np.array_equal(a, src.increments(1, 8, 2, 0.01))
-
-    def test_streams_are_disjoint(self):
-        a = engine.NoiseSource(7, stream=0).increments(0, 8, 2, 0.01)
-        b = engine.NoiseSource(7, stream=1).increments(0, 8, 2, 0.01)
-        assert not np.array_equal(a, b)
+        assert src.increments(0, 8, 2, 0.01) is a  # the same step: no new draw
+        b = src.increments(1, 8, 2, 0.01)
+        assert b is not a and not np.array_equal(a, b)
+        again = src.increments(0, 8, 2, 0.01)
+        assert again is not a and np.array_equal(again, a)
 
     def test_any_call_order_matches_fresh_generator(self):
-        # one generator per source, its counter reset per call: any order of
-        # steps and shapes draws what a generator built for that step draws
-        src = engine.NoiseSource(7, stream=3)
-        for k, n, d in [(5, 8, 2), (0, 50, 1), (5, 3, 2), (3, 800, 1), (5, 8, 2)]:
-            fresh = engine._philox(7, engine._DYNAMICS_TAG, 3, k)
-            want = fresh.standard_normal((n, d)) * math.sqrt(0.01)
-            assert np.array_equal(src.increments(k, n, d, 0.01), want)
-            out = np.full((n, d), np.nan)
-            assert src.increments(k, n, d, 0.01, out=out) is out
-            assert np.array_equal(out, want)
+        # one generator, its key and counter reset per draw: any order of
+        # steps and shapes draws what a generator built for that step draws,
+        # for one seed and for each row of a batch
+        for seeds in (7, [7, 3]):
+            src = engine.NoiseSource(seeds)
+            rows = seeds if isinstance(seeds, list) else [seeds]
+            for k, n, d in [(5, 8, 2), (0, 50, 1), (5, 3, 2), (3, 800, 1), (5, 8, 2)]:
+                want = np.stack([fresh_increments(s, k, n, d, 0.01) for s in rows])
+                want = want if isinstance(seeds, list) else want[0]
+                out = np.full(want.shape, np.nan)
+                assert src.increments(k, n, d, 0.01, out=out) is out
+                assert np.array_equal(out, want)
+                # a repeated call returns that draw and leaves a new ``out`` alone
+                other = np.full(want.shape, np.nan)
+                assert src.increments(k, n, d, 0.01, out=other) is out
+                assert np.isnan(other).all()
+                assert src.increments(k, n, d, 0.01) is out
+            assert np.array_equal(engine.NoiseSource(seeds).increments(5, 8, 2, 0.01), want)
 
     def test_batch_rows_and_shared_buffer(self):
-        batch = engine.NoiseBatch([4, 9, 2])
+        batch = engine.NoiseSource([4, 9, 2])
         a = batch.increments(1, 6, 2, 0.01)
         assert a.shape == (3, 6, 2)
         for row, seed in zip(a, [4, 9, 2]):
@@ -111,6 +135,7 @@ class TestNoiseSource:
         b = batch.increments(2, 6, 2, 0.01)
         assert b is not a and not np.array_equal(a, b)
         assert np.array_equal(batch.increments(1, 6, 2, 0.01), a)
+        assert engine.NoiseSource([4]).increments(1, 6, 2, 0.01).shape == (1, 6, 2)
 
 
 class TestConsensusPoint:
@@ -217,7 +242,7 @@ class TestConsensusPoint:
 
 def one_step(x, obj, params, consensus=None):
     """The positions of state 1 that ``engine.states`` reaches from ``x``."""
-    run = engine.states(engine.Ensemble(np.array(x, dtype=float)), obj, params,
+    run = engine.states(np.array(x, dtype=float), obj, params,
                         engine.NoiseSource(params.seed), consensus=consensus)
     return [x.copy() for _, x, _, _ in run][1]
 
@@ -291,7 +316,7 @@ def counting(obj, calls, nan_from=None, particle=0):
 def oracle_records(dist, obj, params, plan):
     """Reference: the records of the oracle's states at the plan's stride,
     and the final positions."""
-    x0 = engine.sample_initial(dist, params.n_particles, params.dim, params.seed).positions
+    x0 = engine.sample_initial(dist, params.n_particles, params.dim, params.seed)
     run = oracle.states(x0, obj, params, engine.NoiseSource(params.seed))
     records = [oracle.record(k * params.dt, x, obj.minimizer, c, plan.ball_radii)
                for k, x, _, c in run if k % plan.stride == 0]
@@ -319,15 +344,14 @@ class TestStates:
         want, final = oracle_records(self.DIST, obj, p, plan)
         res = engine.simulate(self.DIST, obj, p, plan)
         assert res.series.records == want
-        assert np.array_equal(res.final.positions, final)
-        assert res.final.time == p.steps * p.dt
+        assert np.array_equal(res.final, final)
 
     def test_yields_every_state_once(self):
         p = engine.CboParams(steps=6, **self.P)
         obj = objectives.rastrigin(1)
-        ens = engine.sample_initial(self.DIST, p.n_particles, 1, p.seed)
+        x0 = engine.sample_initial(self.DIST, p.n_particles, 1, p.seed)
         ks = []
-        for k, x, e, c in engine.states(ens, obj, p, engine.NoiseSource(p.seed)):
+        for k, x, e, c in engine.states(x0, obj, p, engine.NoiseSource(p.seed)):
             ks.append(k)
             assert np.array_equal(e, obj.eval(x))
             assert np.array_equal(c, oracle.consensus(x, obj.eval(x), p.alpha))
@@ -337,9 +361,9 @@ class TestStates:
         p = engine.CboParams(steps=5, **self.P)
         calls = []
         obj = counting(objectives.rastrigin(1), calls)
-        ens = engine.sample_initial(self.DIST, p.n_particles, 1, p.seed)
+        x0 = engine.sample_initial(self.DIST, p.n_particles, 1, p.seed)
         pinned = np.zeros((p.steps + 1, 1))
-        out = list(engine.states(ens, obj, p, engine.NoiseSource(p.seed), consensus=pinned))
+        out = list(engine.states(x0, obj, p, engine.NoiseSource(p.seed), consensus=pinned))
         assert len(out) == p.steps + 1
         assert all(e is None for _, _, e, _ in out)
         assert calls == []
@@ -355,6 +379,35 @@ class TestStates:
         assert (err.value.step, err.value.particle) == (3, 7)
         assert "particle 7" in str(err.value) and "step 3" in str(err.value)
         assert [r.t for r in err.value.partial_series.records] == [0.0, 0.02]
+
+    @pytest.mark.parametrize("pinned", [False, True])
+    def test_state_zero_released_after_first_step(self, pinned):
+        # a reference to state 0 kept past its step holds a whole ensemble
+        # of memory for the rest of the run
+        p = engine.CboParams(steps=3, **self.P)
+        consensus = np.zeros((p.steps + 1, 1)) if pinned else None
+        x0 = engine.sample_initial(self.DIST, p.n_particles, 1, p.seed)
+        state0 = weakref.ref(x0)
+        run = engine.states(x0, objectives.rastrigin(1), p, engine.NoiseSource(p.seed),
+                            consensus=consensus)
+        del x0
+        assert next(run)[1] is state0()  # state 0 is the caller's array
+        assert next(run)[0] == 1
+        assert state0() is None
+
+    @pytest.mark.parametrize("shape, seeds", [((300, 1), [4]), ((300, 1), [4, 5]),
+                                              ((1, 300, 1), 4), ((3, 300, 1), [4, 5]),
+                                              ((300,), 4), ((0, 300, 1), [])])
+    def test_positions_and_noise_shapes_must_match(self, shape, seeds):
+        # a batch needs a sequence of one seed per replication, one run an
+        # int seed: rejected before anything is evaluated
+        p = engine.CboParams(steps=3, **self.P)
+        calls = []
+        run = engine.states(np.zeros(shape), counting(objectives.rastrigin(1), calls), p,
+                            engine.NoiseSource(seeds))
+        with pytest.raises(ConfigError):
+            next(run)
+        assert calls == []
 
     def test_failure_at_state_zero_has_no_partial_series(self):
         p = engine.CboParams(steps=3, **self.P)
@@ -380,16 +433,15 @@ class TestBatchedStates:
         consensus = None
         if pinned:
             consensus = np.linspace(1.0, 0.2, p.steps + 1)[:, None] * np.ones(dim)
-        inits = [engine.sample_initial(dist, self.N, dim, s) for s in self.SEEDS]
         # a yielded array is valid only until the iterator resumes: keep copies
         separate = [
             [(k, x.copy(), None if e is None else e.copy(), c.copy())
-             for k, x, e, c in engine.states(ens, obj, p, engine.NoiseSource(s),
-                                             consensus=consensus)]
-            for ens, s in zip(inits, self.SEEDS)
+             for k, x, e, c in engine.states(engine.sample_initial(dist, self.N, dim, s), obj,
+                                             p, engine.NoiseSource(s), consensus=consensus)]
+            for s in self.SEEDS
         ]
-        batch = engine.Ensemble(np.stack([ens.positions for ens in inits]))
-        run = engine.states(batch, obj, p, engine.NoiseBatch(self.SEEDS), consensus=consensus)
+        batch = engine.sample_initial(dist, self.N, dim, self.SEEDS)
+        run = engine.states(batch, obj, p, engine.NoiseSource(self.SEEDS), consensus=consensus)
         for k, x, e, c in run:
             assert x.shape == (3, self.N, dim)
             for r, (kr, xr, er, cr) in enumerate(states_r[k] for states_r in separate):
@@ -408,10 +460,9 @@ class TestBatchedStates:
         calls = []
         obj = counting(objectives.rastrigin(1), calls, nan_from=3, particle=(1, 7))
         dist = engine.GaussianIsotropic((1.0,), 0.8)
-        batch = engine.Ensemble(np.stack(
-            [engine.sample_initial(dist, 20, 1, s).positions for s in self.SEEDS]))
+        batch = engine.sample_initial(dist, 20, 1, self.SEEDS)
         with pytest.raises(NumericDomainError) as err:
-            list(engine.states(batch, obj, p, engine.NoiseBatch(self.SEEDS)))
+            list(engine.states(batch, obj, p, engine.NoiseSource(self.SEEDS)))
         assert (err.value.step, err.value.particle, err.value.seed) == (3, 7, 12)
         msg = str(err.value)
         assert "particle 7" in msg and "step 3" in msg and "seed 12" in msg
@@ -456,20 +507,18 @@ class TestBlocks:
         consensus = None
         if pinned:
             consensus = np.linspace(1.0, 0.2, p.steps + 1)[:, None] * np.ones(dim)
-        seeds = self.SEEDS if batch else self.SEEDS[:1]
-        x0 = np.stack([engine.sample_initial(dist, n, dim, s).positions for s in seeds])
-        if not batch:
-            x0 = x0[0]
+        seeds = self.SEEDS if batch else self.SEEDS[0]
+        x0 = engine.sample_initial(dist, n, dim, seeds)
         x0_before = x0.copy()
 
         def noise():
-            return engine.NoiseBatch(seeds) if batch else engine.NoiseSource(seeds[0])
+            return engine.NoiseSource(seeds)
 
         # the oracle steps the whole array at once
         want = oracle.states(x0, obj, p, noise(), consensus)
         monkeypatch.setattr(metrics, "BLOCK_ROWS", block)
         assert len(metrics.row_blocks(x0.shape)) == 3
-        got = engine.states(engine.Ensemble(x0), obj, p, noise(), consensus=consensus)
+        got = engine.states(x0, obj, p, noise(), consensus=consensus)
         for (k, x, e, c), (kw, xw, ew, cw) in zip(got, want, strict=True):
             assert k == kw
             assert np.array_equal(x, xw)
@@ -487,9 +536,9 @@ class TestBlocks:
         p = engine.CboParams(lam=0.0, sigma=0.0, alpha=1.0, dt=0.1, steps=5,
                              n_particles=n, dim=1, seed=self.SEEDS[0])
         obj = nan_on_row(objectives.rastrigin(1), row, from_eval=3)
-        noise = engine.NoiseBatch(self.SEEDS) if batch else engine.NoiseSource(p.seed)
+        noise = engine.NoiseSource(self.SEEDS if batch else p.seed)
         with pytest.raises(NumericDomainError) as err:
-            list(engine.states(engine.Ensemble(x), obj, p, noise))
+            list(engine.states(x, obj, p, noise))
         want_seed = self.SEEDS[1] if batch else None
         assert (err.value.step, err.value.particle, err.value.seed) == (3, particle, want_seed)
         assert f"particle {particle}" in str(err.value) and "step 3" in str(err.value)
@@ -506,9 +555,9 @@ class TestBlocks:
         (x[1] if batch else x)[particle] = 1e10
         p = engine.CboParams(lam=1e100, sigma=0.0, alpha=1.0, dt=1.0, steps=5,
                              n_particles=n, dim=1, seed=self.SEEDS[0])
-        noise = engine.NoiseBatch(self.SEEDS) if batch else engine.NoiseSource(p.seed)
+        noise = engine.NoiseSource(self.SEEDS if batch else p.seed)
         with pytest.raises(DivergenceError) as err:
-            list(engine.states(engine.Ensemble(x), objectives.rastrigin(1), p, noise,
+            list(engine.states(x, objectives.rastrigin(1), p, noise,
                                consensus=np.zeros((p.steps + 1, 1))))
         want_seed = self.SEEDS[1] if batch else None
         assert (err.value.step, err.value.particle, err.value.seed) == (2, particle, want_seed)
@@ -559,8 +608,7 @@ class TestSimulate:
         dist = engine.GaussianIsotropic((2.0,), 1.0)
         p = self.params(lam=0.0, sigma=0.0)
         res = engine.simulate(dist, quadratic1(), p)
-        init = engine.sample_initial(dist, p.n_particles, 1, p.seed)
-        assert np.array_equal(res.final.positions, init.positions)
+        assert np.array_equal(res.final, engine.sample_initial(dist, p.n_particles, 1, p.seed))
 
     def test_zero_steps_single_record(self):
         dist = engine.GaussianIsotropic((0.0,), 1.0)
@@ -578,7 +626,7 @@ class TestSimulate:
         assert a.series.endpoint_error == b.series.endpoint_error
         for ra, rb in zip(a.series.records, b.series.records):
             assert ra == rb
-        assert np.array_equal(a.final.positions, b.final.positions)
+        assert np.array_equal(a.final, b.final)
 
     def test_v_monotone_contraction_sigma0(self):
         # sigma = 0 and argmin-sized alpha: pure contraction toward the best
@@ -604,7 +652,7 @@ class TestSimulate:
     def test_endpoint_error_matches_final_mean(self):
         dist = engine.GaussianIsotropic((1.0,), 0.5)
         res = engine.simulate(dist, quadratic1(), self.params())
-        gap = res.final.positions.mean(axis=0)  # v* = 0
+        gap = res.final.mean(axis=0)  # v* = 0
         np.testing.assert_allclose(res.series.endpoint_error, float(gap @ gap), rtol=1e-12)
 
     def test_divergence_attaches_partial_series(self):

@@ -27,7 +27,7 @@ def oracle_coupled(seed, p, points):
     """The positions of the interacting system (a) and of the system (b)
     pinned to ``points`` at the states 0..steps of one replication, stepped
     one seed at a time by the test oracle with the same increments."""
-    a = b = engine.sample_initial(DIST, p.n_particles, 1, seed).positions
+    a = b = engine.sample_initial(DIST, p.n_particles, 1, seed)
     noise = engine.NoiseSource(seed)
     yield a, b
     for k in range(p.steps):

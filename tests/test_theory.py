@@ -343,7 +343,7 @@ class TestAudits:
             lam=1.0, sigma=0.5, alpha=1e15, dt=0.01, steps=30,
             n_particles=500, dim=1, seed=6,
         )
-        x0 = engine.sample_initial(dist, params.n_particles, 1, params.seed).positions
+        x0 = engine.sample_initial(dist, params.n_particles, 1, params.seed)
         run = oracle.states(x0, obj, params, engine.NoiseSource(params.seed))
         cdists = [float(np.linalg.norm(c - obj.minimizer)) for _, _, _, c in run]
         phi = [float(np.mean(theory.mollifier(x, obj.minimizer, 1.0)))
@@ -364,8 +364,8 @@ class TestOneEvaluationPerSample:
         obj = replace(base, eval=lambda v: calls.append(1) or base.eval(v))
         params = engine.CboParams(lam=1.0, sigma=0.5, alpha=1e15, dt=0.01, steps=10,
                                   n_particles=500, dim=1, seed=3)
-        ens0 = engine.sample_initial(engine.GaussianIsotropic((1.0,), 0.8), 500, 1, 3)
-        rep = theory.build_theory_report(obj, params, ens0, eps=0.01, tau=0.1)
+        x0 = engine.sample_initial(engine.GaussianIsotropic((1.0,), 0.8), 500, 1, 3)
+        rep = theory.build_theory_report(obj, params, x0, eps=0.01, tau=0.1)
         assert any("b_bound defaulted" in note for note in rep.notes)
         assert len(calls) == 1
 
@@ -390,10 +390,10 @@ class TestReport:
             lam=1.0, sigma=0.5, alpha=1e15, dt=0.01, steps=10,
             n_particles=2000, dim=1, seed=3,
         )
-        ens0 = engine.sample_initial(
+        x0 = engine.sample_initial(
             engine.GaussianIsotropic((1.0,), 0.8), 2000, 1, 3
         )
-        rep = theory.build_theory_report(obj, params, ens0, eps=0.01, tau=0.1)
+        rep = theory.build_theory_report(obj, params, x0, eps=0.01, tau=0.1)
         assert 0.5 < rep.c < 1.0
         assert rep.q_rate is not None and rep.q_rate > 0
         assert rep.t_star > 0
@@ -409,8 +409,8 @@ class TestReport:
             lam=1.0, sigma=0.0, alpha=10.0, dt=0.01, steps=10,
             n_particles=500, dim=1, seed=3,
         )
-        ens0 = engine.sample_initial(engine.GaussianIsotropic((1.0,), 1.0), 500, 1, 3)
-        rep = theory.build_theory_report(obj, params, ens0, eps=0.01, tau=0.1)
+        x0 = engine.sample_initial(engine.GaussianIsotropic((1.0,), 1.0), 500, 1, 3)
+        rep = theory.build_theory_report(obj, params, x0, eps=0.01, tau=0.1)
         assert rep.q_rate is None
         assert any("sigma" in note for note in rep.notes)
 
