@@ -410,9 +410,11 @@ def preset_fig_trajectories(out_dir, runs, n, seed, steps, dt=0.01):
     )
 
     def one_run(r):
-        start = np.vstack([engine.sample_initial(dist, n, 2, seed + r), tracked])
         traj = np.empty((steps + 1, len(tracked), 2))
-        for k, x, _, _ in engine.states(start, obj, params, engine.NoiseSource(seed + r)):
+        # no reference to state 0 outlives the iterator's own
+        run = engine.states(np.vstack([engine.sample_initial(dist, n, 2, seed + r), tracked]),
+                            obj, params, engine.NoiseSource(seed + r))
+        for k, x, _, _ in run:
             traj[k] = x[n:]
         return traj
 
@@ -561,16 +563,16 @@ def run_theory(cfg):
         obj, params, x0, eps=t["eps"], tau=t["tau"],
         r=t["r"], b_bound=t["b_bound"], q_laplace=t["q_laplace"],
     )
-    margin = report.margins
+    wp = report.wellprep
     items = {
         "objective": obj.name, "dim": obj.dim, "c": report.c,
         "q": "infinite (sigma=0)" if report.q_rate is None else report.q_rate,
         "t_star": report.t_star,
         "alpha0": "undefined (see notes)" if report.alpha0 is None else report.alpha0,
         "b1": report.b1, "b2": report.b2, "laplace_rhs": report.laplace_rhs,
-        **{cond: f"{_fmt(getattr(report, cond))} (margin = {_fmt(margin[cond])})"
-           for cond in ("wellprep_cond1", "wellprep_cond2")},
-        "var_concentration_margin": margin["var_bound"],
+        "wellprep_cond1": f"{_fmt(wp.cond1)} (margin = {_fmt(wp.margin1)})",
+        "wellprep_cond2": f"{_fmt(wp.cond2)} (margin = {_fmt(wp.margin2)})",
+        "var_concentration_margin": wp.var_bound_margin,
     }
     lines = [f"{k} = {_fmt(v)}" for k, v in items.items()]
     text = "\n".join(lines + [f"note = {n}" for n in report.notes])

@@ -178,13 +178,13 @@ class NoiseSource:
     draw of ``NoiseSource(seeds[r])``.
 
     Each step owns a disjoint Philox counter block, so any step's increments
-    can be drawn in any order without replaying the stream.  A call for
-    another step than the one drawn last draws into ``out``, or into a new
-    array when ``out`` is None; a repeated call returns that step's array
-    without drawing again or writing ``out``.  So iterators that step the
-    same runs in lockstep, each passing the array it got as its next
-    ``out``, share each step's draw and one buffer for the whole run.  An
-    instance has state, so do not share it between threads.
+    can be drawn in any order without replaying the stream.  The source
+    owns one buffer: a call for another step than the one drawn last draws
+    into it, overwriting the previous draw, and a new buffer is made only
+    when (n, dim) changes; a repeated call returns that step's array without
+    drawing again.  So iterators that step the same runs in lockstep share
+    each step's draw and one buffer for the whole run.  An instance has
+    state, so do not share it between threads.
     """
 
     def __init__(self, seeds):
@@ -195,11 +195,12 @@ class NoiseSource:
         self._state = self._bitgen.state
         self._drawn = self._buf = None
 
-    def increments(self, step, n, dim, dt, out=None):
-        """The increments of the given step, ``self.shape + (n, dim)``; ``out``,
-        when given, is a C-contiguous float array of that shape."""
+    def increments(self, step, n, dim, dt):
+        """The increments of the given step, ``self.shape + (n, dim)``, valid
+        until the next call for another step."""
         if self._drawn != (step, n, dim, dt):
-            self._buf = np.empty(self.shape + (n, dim)) if out is None else out
+            if self._buf is None or self._buf.shape[-2:] != (n, dim):
+                self._buf = np.empty(self.shape + (n, dim))
             state = self._state["state"]
             state["counter"][:] = (0, 0, 0, step)
             for seed, row in zip(self.seeds, self._buf if self.shape else (self._buf,)):
@@ -330,19 +331,19 @@ def consensus_point(x, energies, alpha):
     return _weighted_consensus(x, energies, energies.min(axis=-1, keepdims=True), float(alpha))
 
 
-def _step(x, out, obj, params, c, energies, increments, step, seeds, new_energies, blocks):
+def _step(x, out, obj, params, c, e, increments, step, seeds, blocks):
     """Write the positions of state ``step + 1`` into ``out`` (which may be
     ``x`` itself) from the positions ``x`` of state ``step``, its consensus
     point ``c`` ((dim,), or (R, dim) per replication of a batch) and its
-    ``energies`` (read only when H is not ConstOne).
+    energies ``e`` (read only when H is not ConstOne).
 
-    The update runs one row block of ``blocks`` at a time.  Unless
-    ``new_energies`` is None (a pinned consensus with H = 1 needs none), the
-    energies of each new block are evaluated into it (it may be ``energies``
-    itself) in the same pass, while the block is still in cache, and their
-    minimum per replication is returned.  Every row is computed as a
-    whole-array step would compute it, so the result does not depend on the
-    block size; errors name the first failing particle of the whole array.
+    The update runs one row block of ``blocks`` at a time.  Unless ``e`` is
+    None (a pinned consensus with H = 1 needs no energies), the energies of
+    each new block overwrite that block's entries of ``e`` in the same pass,
+    while the block is still in cache, and their minimum per replication is
+    returned.  Every row is computed as a whole-array step would compute
+    it, so the result does not depend on the block size; errors name the
+    first failing particle of the whole array.
     """
     c = c[..., None, :]  # broadcasts over the particle axis
     ramp = not isinstance(params.h_variant, ConstOne)
@@ -366,14 +367,14 @@ def _step(x, out, obj, params, c, energies, increments, step, seeds, new_energie
             dist = np.sqrt((diff * diff).sum(axis=-1))
             diff *= params.dt * params.lam
         if ramp:
-            diff *= h_eval(params.h_variant, energies[..., s] - e_c)[..., None]
+            diff *= h_eval(params.h_variant, e[..., s] - e_c)[..., None]
         with np.errstate(over="ignore", invalid="ignore"):
             np.subtract(xb, diff, out=new)
             dist *= params.sigma
             new += np.multiply(dist[..., None], increments[..., s, :], out=diff)
         diverged |= not np.isfinite(new).all()
-        if new_energies is not None:
-            mins.append(_eval_rows(obj, new, new_energies, s))
+        if e is not None:
+            mins.append(_eval_rows(obj, new, e, s))
     if diverged:
         i, seed, rep = _locate(~np.isfinite(out).all(axis=-1), seeds)
         raise DivergenceError(
@@ -381,7 +382,7 @@ def _step(x, out, obj, params, c, energies, increments, step, seeds, new_energie
             step=step, particle=i, seed=seed,
         )
     if any(m is None for m in mins):
-        raise _nonfinite_energy(new_energies, step + 1, seeds)
+        raise _nonfinite_energy(e, step + 1, seeds)
     return functools.reduce(np.minimum, mins) if mins else None
 
 
@@ -402,8 +403,8 @@ def states(x, obj, params, noise, consensus=None):
     (``metrics.row_blocks``) in one pass, so ``obj.eval`` is called once per
     block and must compute each row's energy from that row alone.  The pass
     works in place, in a workspace that lives from the first step until the
-    last state: ``noise.increments(k, n, dim, dt, out=inc)`` draws each
-    step's increments into ``inc``, the array of the step before (two
+    last state, and reads each step's increments from
+    ``noise.increments(k, n, dim, dt)``, the source's one buffer (two
     iterators stepping one ``NoiseSource`` in lockstep share it).  So the
     yielded positions and energies stay valid only until the iterator is
     resumed; copy them to keep them, and do not modify them.  State 0 is the
@@ -424,7 +425,7 @@ def states(x, obj, params, noise, consensus=None):
     e = emin = None
     if free or not isinstance(params.h_variant, ConstOne):
         e, emin = _energies(obj, x, 0, noise.seeds, blocks)
-    inc = w = xw = None
+    w = xw = None
     for k in range(params.steps + 1):
         if k:
             new = x
@@ -432,9 +433,8 @@ def states(x, obj, params, noise, consensus=None):
                 new = np.empty(x.shape)
                 if free:
                     w, xw = np.empty(x.shape[:-1]), np.empty(x.shape)
-            # each draw goes into the array the previous one came in
-            inc = noise.increments(k - 1, n, d, params.dt, out=inc)
-            emin = _step(x, new, obj, params, c, e, inc, k - 1, noise.seeds, e, blocks)
+            inc = noise.increments(k - 1, n, d, params.dt)
+            emin = _step(x, new, obj, params, c, e, inc, k - 1, noise.seeds, blocks)
             x = new
         c = _weighted_consensus(x, e, emin, params.alpha, w, xw) if free else consensus[k]
         if k == params.steps:
@@ -481,12 +481,10 @@ def simulate(dist, obj, params, record=RecordingPlan()):
     run = states(sample_initial(dist, params.n_particles, params.dim, params.seed),
                  obj, params, NoiseSource(params.seed))
     records = []
-    work = np.empty(params.n_particles)  # the per-particle terms of every record
     try:
         for k, x, _, c in run:
             if k % record.stride == 0:
-                records.append(snapshot(k * params.dt, x, obj.minimizer, c, record.ball_radii,
-                                        work))
+                records.append(snapshot(k * params.dt, x, obj.minimizer, c, record.ball_radii))
     except SimulationError as err:
         if records:
             err.partial_series = MetricsSeries(records, None, digest)

@@ -3,7 +3,7 @@
 ``snapshot`` computes every functional of one state.  All functions here
 are pure and take position arrays of shape ``(n, dim)``; ``moment4_stat``
 also takes a batch ``(R, n, dim)``.  They are safe for unrestricted
-concurrent use, as long as concurrent calls do not share a ``work`` buffer.
+concurrent use.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ __all__ = [
 ]
 
 # Rows (particles, times the replications of a batch) per block of the
-# block-wise passes here and in ``engine``: each float array of a block,
-# 64 KiB at d = 1, stays in the L2 cache while the pass runs over it.
+# block-wise passes here and in ``engine``, and particles per system of a
+# batch in ``mfa``: each float array of a block, 64 KiB at d = 1, stays in
+# the L2 cache while the pass runs over it.
 BLOCK_ROWS = 8192
 
 
@@ -39,15 +40,15 @@ def row_blocks(shape):
     return [slice(lo, lo + per) for lo in range(0, shape[-2], per)]
 
 
-def _per_row(f, shape, work):
-    """One value per particle row of an array of the given shape: ``f(s)``
-    for each row block ``s``, written into ``work`` (a new array when None).
-    A whole-array reduction of the result sums in the same order as over
-    ``f`` of all rows, and ``f`` makes no whole-array temporaries."""
-    work = np.empty(shape[:-1]) if work is None else work
+def _per_row(f, shape):
+    """One value per particle row of an array of the given shape, a new
+    array filled with ``f(s)`` for each row block ``s``.  A whole-array
+    reduction of the result sums in the same order as over ``f`` of all
+    rows, and ``f`` makes no whole-array temporaries."""
+    rows = np.empty(shape[:-1])
     for s in row_blocks(shape):
-        work[..., s] = f(s)
-    return work
+        rows[..., s] = f(s)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -107,12 +108,10 @@ def _sq_rows(d):
     return (d * d).sum(axis=-1)
 
 
-def moment4_stat(x, y=None, work=None):
+def moment4_stat(x, y=None):
     """(1/n) sum_i max{||V^i||^4, ||Vbar^i||^4} of the positions ``x`` and
     the optional coupled positions ``y``.  A batch (R, n, dim) gives one
-    value per replication, (R,).  ``work``, optional, is a float buffer for
-    the per-particle terms, shaped like the positions without their last
-    axis."""
+    value per replication, (R,)."""
     if y is not None and y.shape != x.shape:
         raise InvalidInputError(f"coupled ensembles differ in shape: {x.shape} vs {y.shape}")
 
@@ -123,11 +122,11 @@ def moment4_stat(x, y=None, work=None):
     # fourth powers may saturate to inf for extreme states; that is the
     # honest value for this diagnostic
     with np.errstate(over="ignore"):
-        m = np.mean(_per_row(rows, x.shape, work), axis=-1)
+        m = np.mean(_per_row(rows, x.shape), axis=-1)
     return float(m) if m.ndim == 0 else m
 
 
-def snapshot(t, x, vstar, consensus, ball_radii, work=None):
+def snapshot(t, x, vstar, consensus, ball_radii):
     """MetricsRecord of the positions ``x`` at time ``t`` with consensus
     point ``consensus``: V = (1/(2n)) sum_i ||V^i - v*||^2, the halved
     variance (1/(2n)) sum_i ||V^i - mean||^2, the fraction of particles in
@@ -136,9 +135,8 @@ def snapshot(t, x, vstar, consensus, ball_radii, work=None):
     once for V and every ball mass; without a minimizer (``vstar`` None) the
     fields tied to it are NaN and there are no ball masses.
 
-    Every per-particle quantity is computed over row blocks into ``work``,
-    an (n,) float buffer that a caller recording many states passes each
-    time (a new one when None), so a record allocates no full-size array."""
+    Every per-particle quantity is computed over row blocks into an (n,)
+    array, so a record allocates no temporary of the positions' size."""
     v = cdist = math.nan
     masses = {}
     if vstar is not None:
@@ -151,13 +149,13 @@ def snapshot(t, x, vstar, consensus, ball_radii, work=None):
                 inside[r] += int(np.count_nonzero(dist <= r))
             return sq
 
-        v = 0.5 * float(np.mean(_per_row(sq_rows, x.shape, work)))
+        v = 0.5 * float(np.mean(_per_row(sq_rows, x.shape)))
         cdist = float(np.linalg.norm(consensus - vstar))
         # count / n is np.mean of the 0/1 mask, bitwise: both are exact
         masses = {r: count / len(x) for r, count in inside.items()}
     m = x.mean(axis=0)
-    var = 0.5 * float(np.mean(_per_row(lambda s: _sq_rows(x[s] - m), x.shape, work)))
-    return MetricsRecord(t, v, var, 2.0 * v, cdist, masses, moment4_stat(x, work=work))
+    var = 0.5 * float(np.mean(_per_row(lambda s: _sq_rows(x[s] - m), x.shape)))
+    return MetricsRecord(t, v, var, 2.0 * v, cdist, masses, moment4_stat(x))
 
 
 def fit_decay_rate(series, window):

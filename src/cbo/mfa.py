@@ -21,9 +21,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import engine, objectives
+from . import engine
 from .errors import InvalidInputError
-from .metrics import moment4_stat
+from .metrics import BLOCK_ROWS, moment4_stat
 
 __all__ = [
     "CouplingRun",
@@ -33,13 +33,7 @@ __all__ = [
     "mfa_sweep",
     "MfaSweepResult",
     "fit_loglog_slope",
-    "default_sweep_setup",
 ]
-
-# replications stepped as one batch hold at most this many particles per
-# system: the batch's arrays stay small (64 KiB each at d = 1), while each
-# numpy call still covers many replications
-BATCH_PARTICLES = 8192
 
 
 @dataclass(frozen=True)
@@ -114,8 +108,10 @@ def coupled_error(dist, obj, params, ref_traj, seeds, m_threshold):
     reference trajectory entry of the same step.  Replications whose sup of
     the coupled fourth-moment statistic exceeds ``m_threshold`` are counted
     in ``exceed_fraction`` and excluded from the conditional error.  The
-    seeds step in batches of at most ``BATCH_PARTICLES`` particles per
-    system; the result is bitwise that of one seed at a time.
+    seeds step in batches of at most ``metrics.BLOCK_ROWS`` particles per
+    system, so a batch's arrays stay small while each numpy call still
+    covers many replications; the result is bitwise that of one seed at a
+    time.
     """
     if len(ref_traj.points) != params.steps + 1:
         raise InvalidInputError(
@@ -125,7 +121,7 @@ def coupled_error(dist, obj, params, ref_traj, seeds, m_threshold):
     seeds = tuple(int(s) for s in seeds)
     if not seeds:
         raise InvalidInputError("need at least one replication seed")
-    per_batch = max(1, BATCH_PARTICLES // params.n_particles)
+    per_batch = max(1, BLOCK_ROWS // params.n_particles)
     batches = [
         _coupled_sups(dist, obj, params, ref_traj.points, seeds[i:i + per_batch])
         for i in range(0, len(seeds), per_batch)
@@ -160,21 +156,6 @@ def fit_loglog_slope(ns, errs):
     y = np.log(errs)
     xc = x - x.mean()
     return float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))
-
-
-def default_sweep_setup(seed=11):
-    """Reference configuration of the 1-D quadratic scaling experiment:
-    moderate weight exponent so the consensus varies smoothly with the
-    sample, one time unit of dynamics, 32 replication seeds."""
-    obj = objectives.quadratic(1)
-    dist = engine.GaussianIsotropic((1.0,), 1.0)
-    params = engine.CboParams(
-        lam=1.0, sigma=0.5, alpha=2.0, dt=0.01, steps=100,
-        n_particles=50, dim=1, seed=seed,
-    )
-    n_values = (50, 100, 200, 400, 800)
-    seeds = tuple(seed + 1 + i for i in range(32))
-    return dist, obj, params, n_values, 10_000, seeds
 
 
 @dataclass

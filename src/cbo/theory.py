@@ -13,7 +13,7 @@ sampled ensembles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -349,7 +349,7 @@ def _small_ball_mass(dists, d, rad):
     mass = float(np.mean(dists <= rad))
     if mass > 0:
         return mass
-    k = max(10, n // 100)
+    k = min(n, max(10, n // 100))
     r_k = float(np.partition(dists, k - 1)[k - 1])
     if r_k <= 0:
         return k / n
@@ -362,7 +362,8 @@ class TheoryReport:
 
     ``q_rate`` and ``alpha0`` are None when undefined for the configuration
     (sigma = 0, respectively tau = 0 or an unsupported initialization); the
-    reason is then recorded in ``notes``.
+    reason is then recorded in ``notes``.  ``wellprep`` holds the
+    well-preparedness conditions of the initial sample and their margins.
     """
 
     c: float
@@ -372,9 +373,7 @@ class TheoryReport:
     b1: float
     b2: float
     laplace_rhs: float
-    wellprep_cond1: bool
-    wellprep_cond2: bool
-    margins: dict = field(default_factory=dict)
+    wellprep: WellPreparedness
     notes: tuple = ()
 
 
@@ -459,13 +458,7 @@ def build_theory_report(obj, params, x0, eps, tau, r=None, b_bound=None,
         b1=b1,
         b2=b2,
         laplace_rhs=lap,
-        wellprep_cond1=wp.cond1,
-        wellprep_cond2=wp.cond2,
-        margins={
-            "wellprep_cond1": wp.margin1,
-            "wellprep_cond2": wp.margin2,
-            "var_bound": wp.var_bound_margin,
-        },
+        wellprep=wp,
         notes=tuple(notes),
     )
 

@@ -5,12 +5,14 @@ this module takes a few minutes in total.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cbo import cli, engine, metrics, mfa, objectives, theory
 
+CONFIGS = Path(__file__).resolve().parent.parent / "docs" / "configs"
 RATE = 2.0 * 1.0 - 1 * 0.5**2  # 1.75
 
 
@@ -79,8 +81,13 @@ def test_criterion_2_straight_mean_trajectories(tmp_path):
 
 
 def test_criterion_3_mean_field_scaling():
-    dist, obj, params, n_values, n_ref, seeds = mfa.default_sweep_setup(seed=11)
-    result = mfa.mfa_sweep(dist, obj, params, n_values, n_ref, seeds)
+    # the sweep of docs/configs/mfa_sweep.json, read as `cbo preset mfa-sweep` reads it
+    raw = cli.load_config(CONFIGS / "mfa_sweep.json")
+    cfg, preset = cli.parse_run_config(raw), cli.PRESETS["mfa_sweep"]
+    sweep = cli.read_block(raw[preset.block], preset.block, preset.options)
+    seeds = [sweep["seed0"] + i for i in range(sweep["n_seeds"])]
+    result = mfa.mfa_sweep(cfg.init, cfg.objective, cfg.params, sweep["n_values"],
+                           sweep["n_ref"], seeds, sweep["m_factor"])
     assert -1.4 <= result.slope <= -0.6, f"slope {result.slope}"
     for run in result.runs:
         assert 0.0 <= run.exceed_fraction <= 1.0

@@ -1,12 +1,16 @@
 import json
 import math
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cbo import cli
+from cbo import cli, engine
+
+CONFIGS = Path(__file__).resolve().parent.parent / "docs" / "configs"
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -303,6 +307,16 @@ class TestTheoryCommand:
         cfg["theory"] = {"eps": 0.01, "tau": 0.1, "sample_n": 100}
         assert cli.main(["theory", write_config(tmp_path, cfg)]) == cli.EXIT_THEORY
 
+    @pytest.mark.parametrize("sample_n", [1, 5, 9])
+    def test_sample_smaller_than_ball_point_count(self, tmp_path, sample_n):
+        # the small-ball extrapolation uses the k-th nearest sample point,
+        # with k at most the sample size
+        cfg = json.loads((CONFIGS / "run_rastrigin.json").read_text())
+        cfg["theory"]["sample_n"] = sample_n
+        cfg["outputs"] = str(tmp_path / "out")
+        assert cli.main(["theory", write_config(tmp_path, cfg)]) == 0
+        assert "alpha0 = " in (tmp_path / "out" / "theory.txt").read_text()
+
 
 def mfa_smoke_config(out):
     return {
@@ -366,6 +380,26 @@ class TestPresets:
         assert mean[0] == "agent,t,x,y"
         assert len(mean) == 1 + 3 * 31
         assert "chord_deviation_agent0" in (out / "summary.txt").read_text()
+
+    def test_fig_trajectories_releases_state_zero(self, tmp_path, monkeypatch):
+        # a reference to state 0 kept past its step holds a whole ensemble
+        # of memory for the rest of each run
+        monkeypatch.setenv("CBO_THREADS", "1")
+        states, alive = engine.states, []
+
+        def spy(x, *args, **kwargs):
+            state0, run = weakref.ref(x), states(x, *args, **kwargs)
+            del x
+            for k, *rest in run:
+                if k == 2:
+                    alive.append(state0() is not None)
+                yield (k, *rest)
+
+        monkeypatch.setattr(engine, "states", spy)
+        code = cli.main(["preset", "fig-trajectories", "--runs", "2", "--n", "20",
+                         "--steps", "3", "--out", str(tmp_path / "ft")])
+        assert code == 0
+        assert alive == [False, False]
 
     @pytest.mark.parametrize("threads", ["abc", "0", "-3", "2.5"])
     def test_cbo_threads_not_positive_integer_exit_2(self, tmp_path, capsys, monkeypatch,

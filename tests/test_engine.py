@@ -97,32 +97,37 @@ def fresh_increments(seed, step, n, d, dt):
 
 class TestNoiseSource:
     def test_repeatable_and_step_dependent(self):
+        # the source draws every new step into its one buffer; a repeated
+        # step returns that buffer without drawing; a new (n, dim) makes a
+        # new buffer
         src = engine.NoiseSource(7)
         a = src.increments(0, 8, 2, 0.01)
-        assert src.increments(0, 8, 2, 0.01) is a  # the same step: no new draw
-        b = src.increments(1, 8, 2, 0.01)
-        assert b is not a and not np.array_equal(a, b)
-        again = src.increments(0, 8, 2, 0.01)
-        assert again is not a and np.array_equal(again, a)
+        first = a.copy()
+        assert src.increments(1, 8, 2, 0.01) is a  # a new step: the same buffer
+        assert not np.array_equal(a, first)
+        a[...] = np.nan
+        assert src.increments(1, 8, 2, 0.01) is a  # the same step: no new draw
+        assert np.isnan(a).all()
+        assert src.increments(0, 8, 2, 0.01) is a and np.array_equal(a, first)
+        b = src.increments(0, 8, 1, 0.01)
+        assert b is not a and b.shape == (8, 1)
+        assert np.array_equal(b, fresh_increments(7, 0, 8, 1, 0.01))
 
     def test_any_call_order_matches_fresh_generator(self):
         # one generator, its key and counter reset per draw: any order of
-        # steps and shapes draws what a generator built for that step draws,
-        # for one seed and for each row of a batch
+        # steps and shapes, into a reused or a new buffer, draws what a
+        # generator built for that step draws, for one seed and for each row
+        # of a batch
         for seeds in (7, [7, 3]):
             src = engine.NoiseSource(seeds)
             rows = seeds if isinstance(seeds, list) else [seeds]
-            for k, n, d in [(5, 8, 2), (0, 50, 1), (5, 3, 2), (3, 800, 1), (5, 8, 2)]:
+            for k, n, d in [(5, 8, 2), (0, 50, 1), (5, 3, 2), (3, 800, 1), (4, 800, 1),
+                            (5, 8, 2)]:
                 want = np.stack([fresh_increments(s, k, n, d, 0.01) for s in rows])
                 want = want if isinstance(seeds, list) else want[0]
-                out = np.full(want.shape, np.nan)
-                assert src.increments(k, n, d, 0.01, out=out) is out
-                assert np.array_equal(out, want)
-                # a repeated call returns that draw and leaves a new ``out`` alone
-                other = np.full(want.shape, np.nan)
-                assert src.increments(k, n, d, 0.01, out=other) is out
-                assert np.isnan(other).all()
-                assert src.increments(k, n, d, 0.01) is out
+                got = src.increments(k, n, d, 0.01)
+                assert np.array_equal(got, want)
+                assert src.increments(k, n, d, 0.01) is got
             assert np.array_equal(engine.NoiseSource(seeds).increments(5, 8, 2, 0.01), want)
 
     def test_batch_rows_and_shared_buffer(self):
@@ -131,10 +136,11 @@ class TestNoiseSource:
         assert a.shape == (3, 6, 2)
         for row, seed in zip(a, [4, 9, 2]):
             assert np.array_equal(row, engine.NoiseSource(seed).increments(1, 6, 2, 0.01))
+        first = a.copy()
         assert batch.increments(1, 6, 2, 0.01) is a  # same step: no new draw
-        b = batch.increments(2, 6, 2, 0.01)
-        assert b is not a and not np.array_equal(a, b)
-        assert np.array_equal(batch.increments(1, 6, 2, 0.01), a)
+        assert batch.increments(2, 6, 2, 0.01) is a  # new step: the same buffer
+        assert not np.array_equal(a, first)
+        assert np.array_equal(batch.increments(1, 6, 2, 0.01), first)
         assert engine.NoiseSource([4]).increments(1, 6, 2, 0.01).shape == (1, 6, 2)
 
 

@@ -96,7 +96,6 @@ class TestSnapshot:
         radii = (0.5, 1.0, 2.5)
         want = oracle.record(0.25, x, vstar, c, radii)
         assert metrics.snapshot(0.25, x, vstar, c, radii) == want
-        assert metrics.snapshot(0.25, x, vstar, c, radii, np.full(150, np.nan)) == want
 
     def test_without_minimizer(self):
         rec = metrics.snapshot(0.0, ens(1.0, -1.0), None, np.zeros(1), (0.5,))

@@ -6,7 +6,7 @@ import numpy as np
 import oracle
 import pytest
 
-from cbo import engine, mfa, objectives
+from cbo import engine, metrics, mfa, objectives
 from cbo.errors import InvalidInputError
 
 
@@ -85,7 +85,7 @@ class TestCoupledError:
         # which systems (a) and (b) are handed the same increments at each
         # step
         p = params(steps=3, n_particles=3000)
-        assert mfa.BATCH_PARTICLES // p.n_particles == 2
+        assert metrics.BLOCK_ROWS // p.n_particles == 2
         ref = mfa.reference_consensus_trajectory(
             DIST, OBJ, params(steps=3, n_particles=400, seed=3))
         seeds = [42, 43, 44]

@@ -400,8 +400,8 @@ class TestReport:
         assert rep.alpha0 is not None and rep.alpha0 > 0
         assert rep.b1 > rep.b2 > 0
         assert math.isfinite(rep.laplace_rhs)
-        assert not rep.wellprep_cond1  # alpha = 1e15 wrecks condition 1
-        assert "wellprep_cond1" in rep.margins
+        assert not rep.wellprep.cond1  # alpha = 1e15 wrecks condition 1
+        assert rep.wellprep.margin1 < 0
 
     def test_report_sigma_zero(self):
         obj = objectives.quadratic(1)
