@@ -13,10 +13,11 @@ same block, and ``params`` sets seed, steps and dt):
     cbo theory                   theory: eps, tau, r, b_bound, q_laplace, sample_n
 
 Exit codes: 0 success, 1 the laplace audit found violations, 2 config error
-(a missing, mistyped or out-of-range value in any block, named by its key,
-sizes beyond memory, unwritable outputs, a CBO_THREADS that is not a positive
-integer), 3 divergence, 4 theory-precondition failure.  CBO_THREADS caps the
-workers of the fig-variance and fig-trajectories fan-out; mfa-sweep uses one.
+(a missing, mistyped or out-of-range value in any block, named by its key, or
+by its block where a library type rejects it; sizes beyond memory, unwritable
+outputs, a CBO_THREADS that is not a positive integer), 3 divergence, 4
+theory-precondition failure.  CBO_THREADS caps the workers of the
+fig-variance and fig-trajectories fan-out; mfa-sweep uses one.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import csv
 import itertools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -116,7 +117,8 @@ class Opt(NamedTuple):
 def read_block(cfg, ctx, opts):
     """The typed values of block ``ctx`` ("" for the top level), by key.  An
     absent key takes its default; a present value must pass its reader and
-    lower bound, but null stands for a default of None."""
+    lower bound, but null stands for a default of None.  A reader's
+    ``ConfigError`` gets the key as a prefix unless it starts with it."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"{ctx or 'config'}: expected an object, got {cfg!r}")
     values = {}
@@ -126,7 +128,12 @@ def read_block(cfg, ctx, opts):
         if value is _MISSING:
             raise ConfigError(f"{ctx or 'config'}: missing required key {opt.key!r}")
         if opt.key in cfg and not (value is None and opt.default is None):
-            value = opt.read(value, name)
+            try:
+                value = opt.read(value, name)
+            except ConfigError as err:
+                if not str(err).startswith((f"{name}:", f"{name}.")):
+                    err.args = (f"{name}: {err}",)
+                raise
             if opt.lo is not None and value < opt.lo:
                 raise ConfigError(f"{name}: must be >= {opt.lo}, got {value!r}")
         values[opt.key] = value
@@ -225,12 +232,10 @@ def parse_run_config(raw, outputs=Path("out")):
 def _fmt(x):
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, float):
-        return repr(x)
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    if isinstance(x, np.floating):
-        return repr(float(x))
     return str(x)
 
 
@@ -264,11 +269,15 @@ def read_metrics_csv(path):
 
 
 def write_summary(path, items):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"{k} = {_fmt(v)}" for k, v in items.items()]
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    """Write ``items`` (a dict or pairs) as ``key = value`` lines to ``path``
+    unless it is None, and return the text."""
+    pairs = items.items() if isinstance(items, dict) else items
+    text = "".join(f"{k} = {_fmt(v)}\n" for k, v in pairs)
+    if path is not None:
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +285,11 @@ def write_summary(path, items):
 
 
 def _fitted_rate(series):
-    ts = series.times()
+    ts = series.column("t")
     vs = series.column("v_func")
     try:
         window = default_fit_window(ts, vs)
-        return fit_decay_rate(list(zip(ts, vs)), window), window
+        return fit_decay_rate(ts, vs, window), window
     except CboError as err:
         return None, str(err)
 
@@ -326,18 +335,17 @@ def preset_fig_variance(out_dir, scale, seed, steps, dt=0.01):
     """Variance vs V-functional decay on the 1-D Rastrigin objective, one
     run per initial mean; N is the full 320000 scaled by ``scale``."""
     if not 0.0 < scale <= 1.0:
-        raise ConfigError(f"scale must lie in (0, 1], got {scale}")
+        raise ConfigError(f"fig_variance.scale: must lie in (0, 1], got {scale}")
     out_dir = Path(out_dir)
     n = int(round(FIG_VARIANCE_FULL_N * scale))
     obj = objectives.rastrigin(1)
     plan = RecordingPlan(stride=1, ball_radii=(0.25, 0.5, 1.0))
+    base = engine.CboParams(lam=1.0, sigma=0.5, alpha=1e15, dt=dt, steps=steps,
+                            n_particles=n, dim=1, seed=seed)
 
     def one(i_mu):
         i, mu = i_mu
-        params = engine.CboParams(
-            lam=1.0, sigma=0.5, alpha=1e15, dt=dt, steps=steps,
-            n_particles=n, dim=1, seed=seed + i,
-        )
+        params = replace(base, seed=seed + i)
         dist = engine.GaussianIsotropic((mu,), FIG_VARIANCE_VAR)
         result = engine.simulate(dist, obj, params, plan)
         return mu, params, result
@@ -349,7 +357,7 @@ def preset_fig_variance(out_dir, scale, seed, steps, dt=0.01):
         "scale": scale,
         "steps": steps,
         "dt": dt,
-        "theoretical_rate": 2.0 * 1.0 - 1 * 0.5**2,
+        "theoretical_rate": engine.contraction_rate(base.lam, base.sigma, base.dim),
     }
     for mu, params, result in runs:
         tag = f"mu{int(mu)}"
@@ -460,7 +468,10 @@ def run_mfa_sweep(out_dir, cfg, n_values, n_ref, n_seeds, seed0, m_factor):
     """The 1/N mean-field sweep of run config ``cfg``; seed0 defaults to params.seed + 1."""
     seed0 = cfg.params.seed + 1 if seed0 is None else seed0
     _check_floats(n_ref * cfg.params.dim, "mfa.n_ref")
-    seeds = [seed0 + i for i in range(n_seeds)]
+    _check_floats(n_seeds * max(n_values, default=0), "mfa.n_seeds")  # (n_seeds, n) sups
+    if seed0 + n_seeds > 2**64:
+        raise ConfigError(f"mfa.seed0: the seeds {seed0}..{seed0 + n_seeds - 1} exceed 64 bits")
+    seeds = range(seed0, seed0 + n_seeds)
     result = mfa.mfa_sweep(cfg.init, cfg.objective, cfg.params, n_values, n_ref, seeds, m_factor)
 
     out_dir = Path(out_dir)
@@ -487,16 +498,14 @@ def run_laplace_audit(out_dir, measures, seed, max_n, min_inside):
                           f"got {max_n}")
     result = theory.laplace_audit(n_measures=measures, seed=seed, max_n=max_n,
                                   min_inside=min_inside)
-    items = {
+    print(write_summary(Path(out_dir) / "report.txt", {
         "preset": "laplace-audit",
         "checked": result.checked,
         "violations": result.violations,
         "min_margin": result.min_margin,
         "tightness_mean": result.tightness_mean,
         "tightness_max": result.tightness_max,
-    }
-    write_summary(Path(out_dir) / "report.txt", items)
-    print("\n".join(f"{k} = {_fmt(v)}" for k, v in items.items()))
+    }), end="")
     return EXIT_OK if result.violations == 0 else EXIT_AUDIT_FAILED
 
 
@@ -533,8 +542,9 @@ PRESETS = {  # by JSON name; the command line spells "_" as "-"
     ),
     "mfa_sweep": Preset(
         run_mfa_sweep, "mfa",
-        (Opt("n_values", _json_list(_json_int)), Opt("n_ref", _json_int), Opt("n_seeds", _json_int),
-         Opt("seed0", _json_int, None), Opt("m_factor", _json_finite, 10.0)),
+        (Opt("n_values", _json_list(_json_int)), Opt("n_ref", _json_int),
+         Opt("n_seeds", _json_int, lo=1), Opt("seed0", _json_int, None, lo=0),
+         Opt("m_factor", _json_finite, 10.0)),
         run_config=True,
     ),
     "laplace_audit": Preset(
@@ -574,12 +584,9 @@ def run_theory(cfg):
         "wellprep_cond2": f"{_fmt(wp.cond2)} (margin = {_fmt(wp.margin2)})",
         "var_concentration_margin": wp.var_bound_margin,
     }
-    lines = [f"{k} = {_fmt(v)}" for k, v in items.items()]
-    text = "\n".join(lines + [f"note = {n}" for n in report.notes])
-    print(text)
-    if cfg.outputs is not None:
-        cfg.outputs.mkdir(parents=True, exist_ok=True)
-        (cfg.outputs / "theory.txt").write_text(text + "\n")
+    notes = [("note", note) for note in report.notes]
+    path = None if cfg.outputs is None else cfg.outputs / "theory.txt"
+    print(write_summary(path, [*items.items(), *notes]), end="")
     return EXIT_OK
 
 

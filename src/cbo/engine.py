@@ -37,6 +37,7 @@ __all__ = [
     "CONST_ONE",
     "HVariant",
     "CboParams",
+    "contraction_rate",
     "GaussianIsotropic",
     "UniformBox",
     "InitDistribution",
@@ -138,7 +139,12 @@ class CboParams:
     @property
     def contractive(self):
         """Whether 2 lam > dim sigma^2 (drift beats isotropic diffusion)."""
-        return 2.0 * self.lam > self.dim * self.sigma**2
+        return contraction_rate(self.lam, self.sigma, self.dim) > 0
+
+
+def contraction_rate(lam, sigma, d):
+    """2 lam - d sigma^2, the decay rate of the V-functional."""
+    return 2.0 * lam - d * sigma**2
 
 
 @dataclass(frozen=True)
@@ -146,11 +152,20 @@ class GaussianIsotropic:
     mean: tuple
     variance: float
 
+    def __post_init__(self):
+        if not self.variance > 0:
+            raise ConfigError(f"variance must be positive, got {self.variance}")
+
 
 @dataclass(frozen=True)
 class UniformBox:
     lo: tuple
     hi: tuple
+
+    def __post_init__(self):
+        lo, hi = np.asarray(self.lo, dtype=float), np.asarray(self.hi, dtype=float)
+        if lo.shape == hi.shape and not np.all(lo < hi):
+            raise ConfigError("degenerate box: lo < hi must hold componentwise")
 
 
 InitDistribution = Union[GaussianIsotropic, UniformBox]
@@ -224,8 +239,6 @@ def sample_initial(dist, n, dim, seeds):
         mean = np.asarray(dist.mean, dtype=float)
         if mean.shape != (dim,):
             raise ConfigError(f"mean has shape {mean.shape}, expected ({dim},)")
-        if not dist.variance > 0:
-            raise ConfigError(f"variance must be positive, got {dist.variance}")
         shift, scale, draw = mean, math.sqrt(dist.variance), np.random.Generator.standard_normal
     elif isinstance(dist, UniformBox):
         lo = np.asarray(dist.lo, dtype=float)
@@ -234,8 +247,6 @@ def sample_initial(dist, n, dim, seeds):
             raise ConfigError(
                 f"box bounds have shapes {lo.shape}/{hi.shape}, expected ({dim},)"
             )
-        if not np.all(lo < hi):
-            raise ConfigError("degenerate box: lo < hi must hold componentwise")
         shift, scale, draw = lo, hi - lo, np.random.Generator.random
     else:
         raise ConfigError(f"unknown initial distribution {dist!r}")

@@ -61,7 +61,7 @@ class RecordingPlan:
 
     def __post_init__(self):
         if self.stride < 1:
-            raise InvalidInputError(f"recording stride must be >= 1, got {self.stride}")
+            raise InvalidInputError(f"stride must be >= 1, got {self.stride}")
         for r in self.ball_radii:
             if not r > 0:
                 raise InvalidInputError(f"ball radius must be positive, got {r}")
@@ -96,9 +96,6 @@ class MetricsSeries:
         ts = [r.t for r in self.records]
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise InvalidInputError("record times must be strictly increasing")
-
-    def times(self):
-        return np.array([r.t for r in self.records])
 
     def column(self, name):
         return np.array([getattr(r, name) for r in self.records])
@@ -158,26 +155,32 @@ def snapshot(t, x, vstar, consensus, ball_radii):
     return MetricsRecord(t, v, var, 2.0 * v, cdist, masses, moment4_stat(x))
 
 
-def fit_decay_rate(series, window):
-    """Least-squares slope of -log y against t over the window (t_lo, t_hi).
+def lsq_slope(x, y):
+    """Least-squares slope of the 1-D float array ``y`` against ``x``."""
+    xc = x - x.mean()
+    return float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))
+
+
+def fit_decay_rate(ts, ys, window):
+    """Least-squares slope of -log y against t over the window (t_lo, t_hi)
+    of the times ``ts`` and the values ``ys``, 1-D arrays of one length.
 
     A positive return value is an exponential decay rate; the intercept is
     absorbed by the regression.  Requires at least 3 points with y > 0 in
     the window.
     """
-    pairs = np.asarray(list(series), dtype=float)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise InvalidInputError("series must be a sequence of (t, y) pairs")
+    ts = np.asarray(ts, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if ts.ndim != 1 or ts.shape != ys.shape:
+        raise InvalidInputError(f"ts and ys must be 1-D of one length, got {ts.shape}, {ys.shape}")
     t_lo, t_hi = window
-    sel = (pairs[:, 0] >= t_lo) & (pairs[:, 0] <= t_hi)
-    t, y = pairs[sel, 0], pairs[sel, 1]
+    sel = (ts >= t_lo) & (ts <= t_hi)
+    t, y = ts[sel], ys[sel]
     if t.size < 3:
         raise InvalidInputError(f"need >= 3 points in window, got {t.size}")
     if np.any(y <= 0):
         raise InvalidInputError("y must be positive throughout the fit window")
-    z = -np.log(y)
-    tc = t - t.mean()
-    return float(np.dot(tc, z - z.mean()) / np.dot(tc, tc))
+    return lsq_slope(t, -np.log(y))
 
 
 def default_fit_window(ts, ys):

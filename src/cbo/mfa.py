@@ -23,7 +23,7 @@ import numpy as np
 
 from . import engine
 from .errors import InvalidInputError
-from .metrics import BLOCK_ROWS, moment4_stat
+from .metrics import BLOCK_ROWS, lsq_slope, moment4_stat
 
 __all__ = [
     "CouplingRun",
@@ -152,10 +152,7 @@ def fit_loglog_slope(ns, errs):
         raise InvalidInputError("need matching n/err arrays with >= 2 entries")
     if np.any(ns <= 0) or np.any(errs <= 0):
         raise InvalidInputError("log-log fit needs positive n and err values")
-    x = np.log(ns)
-    y = np.log(errs)
-    xc = x - x.mean()
-    return float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))
+    return lsq_slope(np.log(ns), np.log(errs))
 
 
 @dataclass

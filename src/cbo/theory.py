@@ -193,7 +193,7 @@ def laplace_bound(first_moment, mass_r, alpha, q, e_r, eta, nu):
 def t_star(v0, eps, tau, lam, sigma, d):
     """Time horizon log(v0 / eps) / ((1 - tau) (2 lam - d sigma^2)) after
     which the V-functional has decayed from v0 to the accuracy eps."""
-    rate = 2.0 * lam - d * sigma**2
+    rate = engine.contraction_rate(lam, sigma, d)
     if not rate > 0:
         raise NonContractiveError(
             f"need 2 lam > d sigma^2, got 2*{lam} <= {d}*{sigma}^2"
@@ -211,7 +211,7 @@ def alpha0_c_constant(tau, lam, sigma, d):
         sqrt(c) = min{ tau (2 lam - d sigma^2) / (2 sqrt(2) (lam + d sigma^2)),
                        sqrt(tau (2 lam - d sigma^2) / (d sigma^2)) }.
     """
-    rate = 2.0 * lam - d * sigma**2
+    rate = engine.contraction_rate(lam, sigma, d)
     if not rate > 0:
         raise NonContractiveError("need 2 lam > d sigma^2")
     if not 0.0 < tau < 1.0:
@@ -309,7 +309,7 @@ def evolution_rhs(v, cons_dist, lam, sigma, d, h_active=None):
         raise InvalidInputError("v and cons_dist must be >= 0")
     ds2 = d * sigma**2
     val = (
-        -(2.0 * lam - ds2) * v
+        -engine.contraction_rate(lam, sigma, d) * v
         + math.sqrt(2.0) * (lam + ds2) * math.sqrt(v) * cons_dist
         + 0.5 * ds2 * cons_dist**2
     )
@@ -476,24 +476,28 @@ class LaplaceAuditResult:
     tightness_max: float
 
 
-def laplace_audit(n_measures=1000, seed=2024, max_n=500, dims=(1, 2, 3),
-                  min_inside=30):
+def laplace_audit(n_measures=1000, seed=2024, max_n=500, min_inside=30):
     """Check the Laplace bound against random empirical measures.
 
-    Each case draws an ensemble on the quadratic objective, picks a ball
-    radius containing at least ``min_inside`` sample points, a positive
-    energy gap q, and a weight exponent alpha, then verifies that the
-    consensus-to-minimizer distance never exceeds the bound.  The gap bound
+    Each case draws 2 min_inside to max_n points in dimension 1, 2 or 3 on
+    the quadratic objective, picks a ball radius containing at least
+    ``min_inside`` of them, a positive energy gap q, and a weight exponent
+    alpha, then verifies that the consensus-to-minimizer distance never
+    exceeds the bound.  The gap bound
     E_r is the max energy over in-ball sample points, which is exact for an
     empirical measure.
     """
+    for name, value, lo in (("n_measures", n_measures, 1), ("seed", seed, 0),
+                            ("min_inside", min_inside, 1), ("max_n", max_n, 2 * min_inside)):
+        if value < lo:
+            raise InvalidInputError(f"{name} must be >= {lo}, got {value}")
     rng = np.random.default_rng(seed)
     violations = 0
     min_margin = math.inf
     tight_sum = 0.0
     tight_max = 0.0
     for _ in range(n_measures):
-        d = int(rng.choice(dims))
+        d = int(rng.choice((1, 2, 3)))
         n = int(rng.integers(2 * min_inside, max_n + 1))
         obj = objectives.quadratic(d)
         shift = rng.uniform(-1.0, 1.0, d)

@@ -33,16 +33,16 @@ def mu1_run():
 def test_criterion_1_decay_rate_and_variance_bump(mu1_run):
     # mu = 1: fitted V decay rate within +-15% of 2 lam - d sigma^2 = 1.75
     series = mu1_run.series
-    ts, vs = series.times(), series.column("v_func")
+    ts, vs = series.column("t"), series.column("v_func")
     window = metrics.default_fit_window(ts, vs)
-    rate = metrics.fit_decay_rate(list(zip(ts, vs)), window)
+    rate = metrics.fit_decay_rate(ts, vs, window)
     assert abs(rate - RATE) <= 0.15 * RATE
 
     # mu = 4: the halved variance exceeds its initial value at some t <= 0.5
     obj = objectives.rastrigin(1)
     dist4 = engine.GaussianIsotropic((4.0,), 0.8)
     res4 = engine.simulate(dist4, obj, fig_variance_params(seed=4))
-    t4 = res4.series.times()
+    t4 = res4.series.column("t")
     var4 = res4.series.column("variance")
     bumped = bool(np.any(var4[(t4 > 0) & (t4 <= 0.5)] > var4[0]))
     assert bumped

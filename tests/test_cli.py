@@ -115,6 +115,23 @@ class TestConfigErrors:
         ("fig_trajectories", ("params", "steps"), 2**62, "fig_trajectories.runs * (steps + 1)"),
         ("fig_trajectories", ("fig_trajectories", "runs"), 2**62,
          "fig_trajectories.runs * (steps + 1)"),
+        # replication seeds: checked before the reference run; 2**62 seeds
+        # are never listed
+        ("mfa", ("mfa", "n_seeds"), 0, "mfa.n_seeds"),
+        ("mfa", ("mfa", "n_seeds"), 2**62, "mfa.n_seeds"),
+        ("mfa", ("mfa", "seed0"), 2**64 - 1, "mfa.seed0"),
+        # a value that a library type rejects is named by the block that
+        # builds the type, with the library's message
+        ("run", ("params", "lambda"), -1, "config error: params: lam must be >= 0, got -1.0"),
+        ("run", ("params", "seed"), -1, "config error: params: seed must be"),
+        ("run", ("params", "h"), {"kind": "ramp_heaviside", "delta": 0}, "params.h: ramp delta"),
+        ("run", ("recording", "stride"), 0, "config error: recording: stride must be >= 1"),
+        ("run", ("init", "variance"), -1, "config error: init: variance must be positive"),
+        ("run", ("init",), {"kind": "uniform", "lo": [1.0], "hi": [1.0]}, "init: degenerate"),
+        ("theory", ("params", "lambda"), -1, "config error: params: lam must be >= 0"),
+        ("mfa", ("init", "variance"), 0, "config error: init: variance must be positive"),
+        ("fig_variance", ("fig_variance", "scale"), 0, "fig_variance.scale: must lie in (0, 1]"),
+        ("run", ("preset",), "nope", "config error: preset: unknown preset 'nope'"),
     ])
     def test_bad_value_on_each_route_exit_2_names_key(self, tmp_path, capsys, monkeypatch,
                                                       route, path, value, named):
@@ -132,6 +149,12 @@ class TestConfigErrors:
         assert cli.main([*command, write_config(tmp_path, cfg)]) == cli.EXIT_CONFIG
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_fig_variance_scale_flag_names_key(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["preset", "fig-variance", "--scale", "0", "--out", str(out)]) == 2
+        assert "fig_variance.scale" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_out_of_memory_exit_2(self, tmp_path, capsys, monkeypatch):
         # an allocation that fails; no test asks for a real huge array

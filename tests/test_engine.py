@@ -51,9 +51,8 @@ class TestHEval:
 
 class TestSampleInitial:
     def test_degenerate_box_rejected(self):
-        dist = engine.UniformBox((0.0, 0.0), (1.0, 0.0))
         with pytest.raises(ConfigError):
-            engine.sample_initial(dist, 10, 2, 0)
+            engine.UniformBox((0.0, 0.0), (1.0, 0.0))
 
     def test_gaussian_clt_oracle(self):
         n = 100_000
@@ -473,6 +472,34 @@ class TestBatchedStates:
         msg = str(err.value)
         assert "particle 7" in msg and "step 3" in msg and "seed 12" in msg
 
+    @pytest.mark.parametrize("seeds", [5, SEEDS])
+    def test_nonfinite_consensus_energy_names_step_and_seed(self, seeds):
+        # with the ramp H each step evaluates the consensus point alone, one
+        # row per replication: an inf there names the step, and in a batch
+        # the seed of the replication
+        p = engine.CboParams(lam=1.0, sigma=0.5, alpha=30.0, dt=0.01, steps=5,
+                             n_particles=20, dim=1, h_variant=engine.RampHeaviside(0.5))
+        base = objectives.rastrigin(1)
+        consensus_calls = []
+
+        def eval_(x):
+            e = np.array(base.eval(x))
+            if x.shape[-2] == 1:  # the consensus point's call
+                consensus_calls.append(x.shape)
+                if len(consensus_calls) == 3:  # the step from state 2
+                    e[-1] = np.inf  # the last replication
+            return e
+
+        obj = dataclasses.replace(base, eval=eval_)
+        x0 = engine.sample_initial(engine.GaussianIsotropic((1.0,), 0.8), 20, 1, seeds)
+        with pytest.raises(NumericDomainError) as err:
+            list(engine.states(x0, obj, p, engine.NoiseSource(seeds)))
+        batch = not isinstance(seeds, int)
+        assert (err.value.step, err.value.particle) == (2, None)
+        assert err.value.seed == (13 if batch else None)
+        msg = str(err.value)
+        assert "consensus point" in msg and "step 2" in msg and ("seed 13" in msg) == batch
+
 
 def nan_on_row(obj, marker, from_eval):
     """``obj``, except that a row equal to ``marker`` gets a NaN energy from
@@ -652,7 +679,7 @@ class TestSimulate:
             metrics.RecordingPlan(stride=5),
         )
         np.testing.assert_allclose(
-            res.series.times(), [0.0, 0.05, 0.10, 0.15, 0.20], atol=1e-15
+            res.series.column("t"), [0.0, 0.05, 0.10, 0.15, 0.20], atol=1e-15
         )
 
     def test_endpoint_error_matches_final_mean(self):

@@ -122,28 +122,34 @@ class TestFitDecayRate:
     def test_exact_log_linear(self):
         t = np.arange(0.0, 1.0 + 1e-12, 0.01)
         y = np.exp(-1.75 * t)
-        rate = metrics.fit_decay_rate(list(zip(t, y)), (0.0, 1.0))
+        rate = metrics.fit_decay_rate(t, y, (0.0, 1.0))
         np.testing.assert_allclose(rate, 1.75, rtol=1e-9)
 
     def test_constant_series(self):
         t = np.linspace(0, 1, 11)
-        rate = metrics.fit_decay_rate(list(zip(t, np.full(11, 0.7))), (0.0, 1.0))
+        rate = metrics.fit_decay_rate(t, np.full(11, 0.7), (0.0, 1.0))
         assert abs(rate) < 1e-12
 
     def test_intercept_absorbed(self):
         t = np.linspace(0, 2, 50)
         y = 2.0 * np.exp(-3.0 * t)
-        rate = metrics.fit_decay_rate(list(zip(t, y)), (0.0, 2.0))
+        rate = metrics.fit_decay_rate(t, y, (0.0, 2.0))
         np.testing.assert_allclose(rate, 3.0, rtol=1e-9)
 
     def test_rejects_nonpositive(self):
-        pairs = [(0.0, 1.0), (0.1, 0.5), (0.2, 0.0), (0.3, 0.1)]
+        t, y = [0.0, 0.1, 0.2, 0.3], [1.0, 0.5, 0.0, 0.1]
         with pytest.raises(InvalidInputError):
-            metrics.fit_decay_rate(pairs, (0.0, 0.3))
+            metrics.fit_decay_rate(t, y, (0.0, 0.3))
 
     def test_needs_three_points(self):
         with pytest.raises(InvalidInputError):
-            metrics.fit_decay_rate([(0.0, 1.0), (1.0, 0.5)], (0.0, 1.0))
+            metrics.fit_decay_rate([0.0, 1.0], [1.0, 0.5], (0.0, 1.0))
+
+    @pytest.mark.parametrize("t, y", [([0.0, 0.1, 0.2], [1.0, 0.5]),
+                                      ([[0.0, 0.1, 0.2]], [[1.0, 0.5, 0.2]])])
+    def test_needs_1d_arrays_of_one_length(self, t, y):
+        with pytest.raises(InvalidInputError, match="1-D"):
+            metrics.fit_decay_rate(t, y, (0.0, 1.0))
 
 
 class TestDefaultFitWindow:

@@ -149,6 +149,15 @@ class TestCoupledError:
         assert run.err_sup_conditional == keep.mean(axis=0).max()
         assert run.err_sup == np.stack(sups_err).mean(axis=0).max()
 
+    def test_every_replication_exceeding_gives_nan_conditional(self):
+        p = params(steps=5, n_particles=10)
+        ref = mfa.reference_consensus_trajectory(
+            DIST, OBJ, params(steps=5, n_particles=100, seed=100))
+        run = mfa.coupled_error(DIST, OBJ, p, ref, [1, 2, 3], m_threshold=0.0)
+        assert run.exceed_fraction == 1.0
+        assert math.isnan(run.err_sup_conditional)
+        assert run.err_sup > 0
+
 
 class TestSweep:
     def test_synthetic_inverse_law_slope(self):

@@ -313,6 +313,16 @@ class TestAudits:
         assert res.violations == 0
         assert res.min_margin >= 0
 
+    @pytest.mark.parametrize("kwargs, named", [
+        (dict(n_measures=0), "n_measures"),
+        (dict(max_n=10, min_inside=30), "max_n"),
+        (dict(seed=-1), "seed"),
+        (dict(n_measures=5, min_inside=0), "min_inside"),
+    ])
+    def test_laplace_audit_rejects_bad_arguments(self, kwargs, named):
+        with pytest.raises(InvalidInputError, match=named):
+            theory.laplace_audit(**kwargs)
+
     def test_single_point_measure_at_vstar(self):
         obj = objectives.quadratic(2)
         x = np.zeros((1, 2))
@@ -413,6 +423,37 @@ class TestReport:
         rep = theory.build_theory_report(obj, params, x0, eps=0.01, tau=0.1)
         assert rep.q_rate is None
         assert any("sigma" in note for note in rep.notes)
+
+    def test_report_notes_tau_zero_and_empty_ball(self):
+        # tau = 0 leaves alpha0 undefined, and a radius below every sample
+        # distance leaves no mass for the Laplace bound
+        obj = objectives.quadratic(1)
+        params = engine.CboParams(
+            lam=1.0, sigma=0.5, alpha=10.0, dt=0.01, steps=10,
+            n_particles=500, dim=1, seed=3,
+        )
+        x0 = engine.sample_initial(engine.GaussianIsotropic((1.0,), 1.0), 500, 1, 3)
+        assert np.abs(x0).min() > 1e-12
+        rep = theory.build_theory_report(obj, params, x0, eps=0.01, tau=0.0, r=1e-12)
+        assert rep.alpha0 is None
+        assert "alpha0 undefined for tau = 0" in rep.notes
+        assert math.isnan(rep.laplace_rhs)
+        assert "laplace bound skipped: no sample mass inside the ball" in rep.notes
+
+    def test_report_notes_alpha0_without_initial_mass(self):
+        # in 70 dimensions the extrapolated mass of the alpha0 ball,
+        # (k/n) (rad / r_k)^70, underflows to zero
+        d = 70
+        obj = objectives.quadratic(d)
+        params = engine.CboParams(
+            lam=1.0, sigma=0.1, alpha=10.0, dt=0.01, steps=10,
+            n_particles=200, dim=d, seed=3,
+        )
+        x0 = engine.sample_initial(engine.GaussianIsotropic((1.0,) * d, 1.0), 200, d, 3)
+        rep = theory.build_theory_report(obj, params, x0, eps=0.01, tau=0.1)
+        assert rep.alpha0 is None
+        assert any(note.startswith("alpha0 undefined: initial measure has zero mass")
+                   for note in rep.notes)
 
 
 def test_find_c_rejects_bad_dim():
