@@ -260,14 +260,6 @@ def _write_csv(path, header, rows):
         writer.writerows([_fmt(x) for x in row] for row in rows)
 
 
-def read_metrics_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(x) for x in row] for row in reader]
-    return header, rows
-
-
 def write_summary(path, items):
     """Write ``items`` (a dict or pairs) as ``key = value`` lines to ``path``
     unless it is None, and return the text."""
@@ -422,7 +414,7 @@ def preset_fig_trajectories(out_dir, runs, n, seed, steps, dt=0.01):
         # no reference to state 0 outlives the iterator's own
         run = engine.states(np.vstack([engine.sample_initial(dist, n, 2, seed + r), tracked]),
                             obj, params, engine.NoiseSource(seed + r))
-        for k, x, _, _ in run:
+        for k, x, _ in run:
             traj[k] = x[n:]
         return traj
 
@@ -467,6 +459,8 @@ def preset_fig_trajectories(out_dir, runs, n, seed, steps, dt=0.01):
 def run_mfa_sweep(out_dir, cfg, n_values, n_ref, n_seeds, seed0, m_factor):
     """The 1/N mean-field sweep of run config ``cfg``; seed0 defaults to params.seed + 1."""
     seed0 = cfg.params.seed + 1 if seed0 is None else seed0
+    if min(n_values, default=1) < 1:
+        raise ConfigError(f"mfa.n_values: every entry must be >= 1, got {list(n_values)}")
     _check_floats(n_ref * cfg.params.dim, "mfa.n_ref")
     _check_floats(n_seeds * max(n_values, default=0), "mfa.n_seeds")  # (n_seeds, n) sups
     if seed0 + n_seeds > 2**64:
@@ -531,13 +525,13 @@ PRESETS = {  # by JSON name; the command line spells "_" as "-"
     "fig_variance": Preset(
         preset_fig_variance, "fig_variance",
         (Opt("scale", _json_finite, 1.0 / 16.0),),
-        flags=(Opt("seed", _json_int, 1), Opt("steps", _json_int, 400)),
+        flags=(Opt("seed", _json_int, 1, lo=0), Opt("steps", _json_int, 400, lo=0)),
         full={"scale": 1.0},
     ),
     "fig_trajectories": Preset(
         preset_fig_trajectories, "fig_trajectories",
         (Opt("runs", _json_int, 100, lo=2), Opt("n", _json_int, 4000, lo=1)),
-        flags=(Opt("seed", _json_int, 1), Opt("steps", _json_int, 600)),
+        flags=(Opt("seed", _json_int, 1, lo=0), Opt("steps", _json_int, 600, lo=0)),
         full={"n": 32_000},
     ),
     "mfa_sweep": Preset(

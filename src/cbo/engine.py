@@ -16,6 +16,11 @@ count.
 Positions may carry a leading replication axis, (R, n, d): every reduction
 runs over the particle axis, so a batch of R independent runs steps as one
 array with the same arithmetic, bit for bit, as R separate (n, d) runs.
+
+At large alpha nearly every consensus weight rounds to exactly zero.  For
+an objective with a ``floor`` (an exact lower bound of its energy), the
+iterator then evaluates the objective only on the rows whose weight can be
+nonzero, and the consensus stays bitwise that of every row's energy.
 """
 
 from __future__ import annotations
@@ -28,7 +33,13 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, NumericDomainError, SimulationError
+from .errors import (
+    ConfigError,
+    DivergenceError,
+    InvalidInputError,
+    NumericDomainError,
+    SimulationError,
+)
 from .metrics import MetricsSeries, RecordingPlan, row_blocks, snapshot
 
 __all__ = [
@@ -288,24 +299,64 @@ def _nonfinite_energy(e, step, seeds):
     )
 
 
-def _eval_rows(obj, rows, e, s):
-    """Energies of ``rows`` into ``e[..., s]``: their minimum per
-    replication, or None if one of them is not finite."""
+def _eval_rows(fn, rows, e, s):
+    """``fn`` of ``rows`` (the objective's ``eval`` or ``floor``) into
+    ``e[..., s]``: its minimum per replication, or None if one of its values
+    is not finite."""
     # overflow to inf is caught by the caller's finiteness guard
     with np.errstate(over="ignore", invalid="ignore"):
-        eb = np.asarray(obj.eval(rows), dtype=float)
+        eb = np.asarray(fn(rows), dtype=float)
     e[..., s] = eb
     return eb.min(axis=-1, keepdims=True) if np.isfinite(eb).all() else None
 
 
-def _energies(obj, x, step, seeds, blocks):
-    """Energies of the positions ``x``, evaluated one row block of ``blocks``
-    at a time, and their minimum per replication, (1,) or (R, 1)."""
-    e = np.empty(x.shape[:-1])
-    mins = [_eval_rows(obj, x[..., s, :], e, s) for s in blocks]
+def _energies(obj, x, e, step, seeds, blocks):
+    """Energies of the positions ``x`` into ``e``, evaluated one row block
+    of ``blocks`` at a time, and their minimum per replication, (1,) or
+    (R, 1)."""
+    mins = [_eval_rows(obj.eval, x[..., s, :], e, s) for s in blocks]
     if any(m is None for m in mins):
         raise _nonfinite_energy(e, step, seeds)
-    return e, functools.reduce(np.minimum, mins)
+    return functools.reduce(np.minimum, mins)
+
+
+def _screened_energies(obj, x, e, alpha, w, step, seeds):
+    """The minimum energy per replication of the positions ``x``, whose
+    floors ``e`` holds, from the energies of only those rows that can be
+    the minimum or carry a nonzero weight; their energies overwrite their
+    floors in ``e``, and ``w`` (shaped like ``e``) is the weights' workspace.
+
+    Let u be the energy of a replication's row of smallest floor.  A row
+    with -alpha (floor - u) <= _EXP_ZERO_BELOW has E >= floor > u >= E_min:
+    it is not the minimum, and ``_weights`` turns its floor, like its
+    energy, into exactly +0.0.  Each row is evaluated at most once."""
+    n, d = x.shape[-2:]
+    xf, ef = x.reshape(-1, d), e.reshape(-1)  # views of the engine's workspace
+    first = e.reshape(-1, n).argmin(axis=-1) + np.arange(0, ef.size, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = np.asarray(obj.eval(xf[first]), dtype=float)
+    # the cutoff test in the operation order of _weights
+    np.subtract(e, u.reshape(e.shape[:-1] + (1,)), out=w)
+    w *= -alpha
+    candidate = w.reshape(-1) > _EXP_ZERO_BELOW
+    candidate[first] = False  # evaluated already
+    rest = np.flatnonzero(candidate)
+    with np.errstate(over="ignore", invalid="ignore"):
+        er = np.concatenate([u, np.asarray(obj.eval(xf[rest]), dtype=float)])
+    rows = np.concatenate([first, rest])
+    below = er < ef[rows]
+    ef[rows] = er
+    if not np.isfinite(er).all():
+        raise _nonfinite_energy(e, step, seeds)
+    if below.any():
+        bad = np.zeros(ef.shape, dtype=bool)
+        bad[rows[below]] = True
+        i, _, rep = _locate(bad.reshape(e.shape), seeds)
+        raise InvalidInputError(
+            f"objective floor above the energy at particle {i}{rep} at step {step}: "
+            "a floor must bound eval"
+        )
+    return e.min(axis=-1, keepdims=True)
 
 
 def _weights(energies, emin, alpha, out=None):
@@ -342,7 +393,7 @@ def consensus_point(x, energies, alpha):
     return _weighted_consensus(x, energies, energies.min(axis=-1, keepdims=True), float(alpha))
 
 
-def _step(x, out, obj, params, c, e, increments, step, seeds, blocks):
+def _step(x, out, obj, params, c, e, increments, step, seeds, blocks, floors=False):
     """Write the positions of state ``step + 1`` into ``out`` (which may be
     ``x`` itself) from the positions ``x`` of state ``step``, its consensus
     point ``c`` ((dim,), or (R, dim) per replication of a batch) and its
@@ -350,11 +401,12 @@ def _step(x, out, obj, params, c, e, increments, step, seeds, blocks):
 
     The update runs one row block of ``blocks`` at a time.  Unless ``e`` is
     None (a pinned consensus with H = 1 needs no energies), the energies of
-    each new block overwrite that block's entries of ``e`` in the same pass,
-    while the block is still in cache, and their minimum per replication is
-    returned.  Every row is computed as a whole-array step would compute
-    it, so the result does not depend on the block size; errors name the
-    first failing particle of the whole array.
+    each new block, or with ``floors`` the objective's floors, overwrite
+    that block's entries of ``e`` in the same pass, while the block is
+    still in cache, and their minimum per replication is returned (None if
+    a floor is not finite).  Every row is computed as a whole-array step
+    would compute it, so the result does not depend on the block size;
+    errors name the first failing particle of the whole array.
     """
     c = c[..., None, :]  # broadcasts over the particle axis
     ramp = not isinstance(params.h_variant, ConstOne)
@@ -367,6 +419,7 @@ def _step(x, out, obj, params, c, e, increments, step, seeds, blocks):
                 f"non-finite energy at the consensus point{rep} at step {step}",
                 step=step, seed=seed,
             )
+    fill = obj.floor if floors else obj.eval
     diverged, mins = False, []
     for s in blocks:
         xb, new = x[..., s, :], out[..., s, :]
@@ -385,7 +438,7 @@ def _step(x, out, obj, params, c, e, increments, step, seeds, blocks):
             new += np.multiply(dist[..., None], increments[..., s, :], out=diff)
         diverged |= not np.isfinite(new).all()
         if e is not None:
-            mins.append(_eval_rows(obj, new, e, s))
+            mins.append(_eval_rows(fill, new, e, s))
     if diverged:
         i, seed, rep = _locate(~np.isfinite(out).all(axis=-1), seeds)
         raise DivergenceError(
@@ -393,34 +446,57 @@ def _step(x, out, obj, params, c, e, increments, step, seeds, blocks):
             step=step, particle=i, seed=seed,
         )
     if any(m is None for m in mins):
+        if floors:
+            return None
         raise _nonfinite_energy(e, step + 1, seeds)
     return functools.reduce(np.minimum, mins) if mins else None
 
 
+# A state is screened (``_screened_energies``) only when it spans more than
+# one row block and at most this share of the previous state's weights is
+# nonzero.  Screening adds some 40 numpy calls per state, which at one
+# block or less cost more than the evaluations they save, most of all when
+# runs share the interpreter lock in the fig-trajectories fan-out (4003 x 2
+# at alpha = 1e15, two runs in two threads: 1.13x the time).  And where
+# most rows pass the floor test, screening costs more than evaluating
+# every row; the test passes many more rows than carry weight.  Rastrigin
+# over 200 steps from N((1, ..), 0.8), 20000 x 1 and 20000 x 2:
+#   alpha = 30: nonzero share >= 0.9998 and >= 0.03: never screened;
+#   alpha = 1e3: 0.06-0.60 (1-D, where 42-99 % of rows pass the test:
+#     never screened) and <= 0.0014 (2-D, 0.2-12 % pass: screened);
+#   alpha = 1e15: about 1e-4 (at most 1.4 % pass): every state after the
+#     first screened.
+# Interleaved against evaluating every row, the run takes 1.02x and 1.01x
+# the time at alpha = 30, 1.00x and 0.71x at 1e3, 0.72x and 0.70x at 1e15.
+_SCREEN_SHARE = 1.0 / 64.0
+
+
 def states(x, obj, params, noise, consensus=None):
-    """Yield ``(k, positions, energies, consensus)`` for the states k = 0..steps
+    """Yield ``(k, positions, consensus)`` for the states k = 0..steps
     reached from the positions ``x``, evaluating each state's energies and
     consensus once and reusing them in the step to state k + 1.  A pinned
-    ``consensus`` is indexed by k; with ``ConstOne`` it needs no energies and
-    None is yielded.
+    ``consensus`` is indexed by k; with ``ConstOne`` it needs no energies.
 
     ``x`` is (n, dim) for a ``NoiseSource`` of one seed, or a batch (R, n,
     dim) for one of R seeds, which steps R replications bit for bit as R
-    separate runs: energies are then (R, n), a free consensus (R, dim), each
-    pinned entry is shared by every replication, and errors name the failing
-    replication's seed.
+    separate runs: a free consensus is then (R, dim), each pinned entry is
+    shared by every replication, and errors name the failing replication's
+    seed.
 
     The step and the next state's energies run over cache-sized row blocks
-    (``metrics.row_blocks``) in one pass, so ``obj.eval`` is called once per
-    block and must compute each row's energy from that row alone.  The pass
-    works in place, in a workspace that lives from the first step until the
-    last state, and reads each step's increments from
-    ``noise.increments(k, n, dim, dt)``, the source's one buffer (two
-    iterators stepping one ``NoiseSource`` in lockstep share it).  So the
-    yielded positions and energies stay valid only until the iterator is
-    resumed; copy them to keep them, and do not modify them.  State 0 is the
-    caller's array, never written and let go of after the first step.  A
-    yielded consensus is a new array (or the pinned entry) each state.
+    (``metrics.row_blocks``) in one pass, so ``obj.eval`` must compute each
+    row's energy from that row alone.  With a free consensus, ``ConstOne``
+    and an objective with a ``floor``, a state of more than one block after
+    one with few nonzero weights is screened: the pass writes floors, and
+    only the rows whose weight can be nonzero are evaluated, in one call,
+    so the consensus is bitwise that of every row's energy.  The pass works in place, in a
+    workspace that lives until the last state, and reads each step's
+    increments from ``noise.increments(k, n, dim, dt)``, the source's one
+    buffer (two iterators stepping one ``NoiseSource`` in lockstep share
+    it).  So the yielded positions stay valid only until the iterator is
+    resumed; copy them to keep them, and do not modify them.  State 0 is
+    the caller's array, never written and let go of after the first step.
+    A yielded consensus is a new array (or the pinned entry) each state.
     ``noise`` holds generator state, so a run in each thread needs its own."""
     x = np.asarray(x, dtype=float)
     if x.ndim != len(noise.shape) + 2 or x.shape[:-2] != noise.shape or 0 in x.shape[:-1]:
@@ -433,25 +509,37 @@ def states(x, obj, params, noise, consensus=None):
     free = consensus is None
     if not free:
         consensus = np.asarray(consensus, dtype=float)
-    e = emin = None
-    if free or not isinstance(params.h_variant, ConstOne):
-        e, emin = _energies(obj, x, 0, noise.seeds, blocks)
-    w = xw = None
+    const_one = isinstance(params.h_variant, ConstOne)
+    e = emin = w = xw = None
+    if free or not const_one:
+        e = np.empty(x.shape[:-1])
+        emin = _energies(obj, x, e, 0, noise.seeds, blocks)
+    if free:  # the weights and the weighted positions
+        w, xw = np.empty(x.shape[:-1]), np.empty(x.shape)
+    screening = free and const_one and obj.floor is not None and len(blocks) > 1
+    screen = False  # state 0 is evaluated in full
     for k in range(params.steps + 1):
         if k:
-            new = x
-            if k == 1:  # the workspace; the caller's state 0 stays as it is
-                new = np.empty(x.shape)
-                if free:
-                    w, xw = np.empty(x.shape[:-1]), np.empty(x.shape)
+            # the workspace from the first step on; the caller's state 0
+            # stays as it is
+            new = np.empty(x.shape) if k == 1 else x
             inc = noise.increments(k - 1, n, d, params.dt)
-            emin = _step(x, new, obj, params, c, e, inc, k - 1, noise.seeds, blocks)
+            emin = _step(x, new, obj, params, c, e, inc, k - 1, noise.seeds, blocks, screen)
             x = new
-        c = _weighted_consensus(x, e, emin, params.alpha, w, xw) if free else consensus[k]
+            if screen:  # with a non-finite floor, every row is evaluated
+                emin = (_energies(obj, x, e, k, noise.seeds, blocks) if emin is None
+                        else _screened_energies(obj, x, e, params.alpha, w, k, noise.seeds))
+        if free:
+            c = _weighted_consensus(x, e, emin, params.alpha, w, xw)
+            # a weight is never -0.0, so its bits are zero where it is zero,
+            # and counting them is cheaper than counting floats
+            screen = screening and np.count_nonzero(w.view(np.int64)) <= _SCREEN_SHARE * w.size
+        else:
+            c = consensus[k]
         if k == params.steps:
-            # the last state holds only its positions and energies
-            inc = w = xw = noise = None
-        yield k, x, e, c
+            # the last state holds only its positions
+            inc = e = w = xw = noise = None
+        yield k, x, c
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +581,7 @@ def simulate(dist, obj, params, record=RecordingPlan()):
                  obj, params, NoiseSource(params.seed))
     records = []
     try:
-        for k, x, _, c in run:
+        for k, x, c in run:
             if k % record.stride == 0:
                 records.append(snapshot(k * params.dt, x, obj.minimizer, c, record.ball_radii))
     except SimulationError as err:

@@ -72,7 +72,7 @@ def reference_consensus_trajectory(dist, obj, params):
     run = engine.states(engine.sample_initial(dist, params.n_particles, params.dim, params.seed),
                         obj, params, engine.NoiseSource(params.seed))
     points, m4 = [], 0.0
-    for _, x, _, c in run:
+    for _, x, c in run:
         points.append(c)
         m4 = max(m4, moment4_stat(x))
     return ReferenceTrajectory(np.asarray(points), m4, params.n_particles)
@@ -93,7 +93,7 @@ def _coupled_sups(dist, obj, params, points, seeds):
     del init  # each iterator lets go of state 0 after its first step
     sup_gap = np.zeros((len(seeds), params.n_particles))
     sup_m4 = np.zeros(len(seeds))
-    for (_, xa, _, _), (_, xb, _, _) in coupled:
+    for (_, xa, _), (_, xb, _) in coupled:
         gap = xa - xb
         np.maximum(sup_gap, (gap * gap).sum(axis=-1), out=sup_gap)
         np.maximum(sup_m4, moment4_stat(xa, xb), out=sup_m4)

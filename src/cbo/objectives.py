@@ -11,6 +11,12 @@ For the stock objectives the inverse-continuity property holds globally
 stored as ``inf`` as well.  The Lipschitz and growth constants are
 conservative analytic estimates, not fitted values; they only feed
 diagnostic constants and are flagged as estimates in report output.
+
+An objective may also carry ``floor``, a cheap row-wise lower bound of its
+energy that is exact in float64 (see ``ObjectiveSpec``); Rastrigin's is
+``||v||^2``.  At large alpha the consensus weight of every particle whose
+floor lies far enough above the best energy rounds to exactly zero, so the
+engine evaluates the objective only on the other rows.
 """
 
 from __future__ import annotations
@@ -33,6 +39,16 @@ class ObjectiveSpec:
     ``eval`` accepts a single point of shape ``(dim,)`` or a batch of shape
     ``(n, dim)`` and returns a scalar or an ``(n,)`` array.  Instances are
     immutable and safe to evaluate concurrently.
+
+    ``floor``, when not None, is a cheap lower bound of ``eval`` taking the
+    same arguments.  Its contract is exact in float64: for every row ``v``
+    whose ``floor(v)`` is finite, ``eval(v)`` is finite too and ``floor(v)
+    <= eval(v)`` as computed; so the floor is non-finite wherever ``eval``
+    is.  ``engine.states`` then evaluates, at large alpha, only the rows
+    whose consensus weight can be nonzero, and the floor of every other row
+    stands in for its energy.  A spec whose ``eval`` is replaced
+    (``dataclasses.replace(spec, eval=...)``) must pass ``floor=None`` too,
+    unless the floor still bounds the new ``eval``.
     """
 
     name: str
@@ -50,6 +66,7 @@ class ObjectiveSpec:
     c2: float
     c3: float
     c4: float
+    floor: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False)
 
 
 def _check_dim(dim):
@@ -63,9 +80,14 @@ def rastrigin(dim):
 
     Global minimum 0 at the origin.  The quadratic minorant E(v) >= ||v||^2
     holds everywhere, so the inverse-continuity property holds globally with
-    eta = 1 and nu = 1/2.  The Lipschitz constant is taken on [-10, 10] per
-    coordinate and summed over coordinates; the growth constants come from
-    the coordinate-wise bound e(x) <= 6 (1 + x^2), likewise summed.
+    eta = 1 and nu = 1/2.  It is also the spec's ``floor``, and exact in
+    float64: each term of ``eval`` adds 2.5 (1 - cos) >= 0 to ``v * v``, and
+    both sums reduce the same (rows, dim) shape, so by monotone rounding
+    the floor never exceeds a finite computed energy, and it overflows
+    wherever the energy is not finite.  The Lipschitz constant is taken on
+    [-10, 10] per coordinate and summed over coordinates; the growth
+    constants come from the coordinate-wise bound e(x) <= 6 (1 + x^2),
+    likewise summed.
     """
     dim = _check_dim(dim)
 
@@ -73,6 +95,10 @@ def rastrigin(dim):
         v = np.asarray(v, dtype=float)
         e = v * v + 2.5 * (1.0 - np.cos(2.0 * np.pi * v))
         return e.sum(axis=-1)
+
+    def _floor(v):
+        v = np.asarray(v, dtype=float)
+        return (v * v).sum(axis=-1)
 
     minimizer = np.zeros(dim)
     minimizer.setflags(write=False)
@@ -92,6 +118,7 @@ def rastrigin(dim):
         c2=6.0 * dim,
         c3=1.0,
         c4=1.0,
+        floor=_floor,
     )
 
 
@@ -101,7 +128,8 @@ def quadratic(dim, center=None):
     Analytic test objective: the inverse-continuity property holds globally
     with equality (eta = 1, nu = 1/2).  The growth constants are written for
     a general center and reduce to the unit constants at center = 0; c1
-    assumes the centered form (the dynamics are shift-equivariant).
+    assumes the centered form (the dynamics are shift-equivariant).  It has
+    no ``floor``: its ``eval`` is already as cheap as any bound.
     """
     dim = _check_dim(dim)
     if center is None:

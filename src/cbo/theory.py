@@ -556,7 +556,7 @@ def mass_decay_audit(dist, obj, params, r, stride=1):
     run = engine.states(engine.sample_initial(dist, params.n_particles, params.dim, params.seed),
                         obj, params, engine.NoiseSource(params.seed))
     times, phi, cdists = [], [], []
-    for k, x, _, c in run:
+    for k, x, c in run:
         cdists.append(float(np.linalg.norm(c - vstar)))
         if k % stride == 0:
             times.append(k * params.dt)

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import weakref
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cbo import cli, engine
+from cbo import cli, engine, mfa
 
 CONFIGS = Path(__file__).resolve().parent.parent / "docs" / "configs"
 
@@ -17,6 +18,13 @@ def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg, indent=2))
     return str(path)
+
+
+def read_csv(path):
+    """The header and the rows, as floats, of a CSV file."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, [[float(x) for x in row] for row in rows]
 
 
 def base_config(tmp_path, **overrides):
@@ -132,23 +140,37 @@ class TestConfigErrors:
         ("mfa", ("init", "variance"), 0, "config error: init: variance must be positive"),
         ("fig_variance", ("fig_variance", "scale"), 0, "fig_variance.scale: must lie in (0, 1]"),
         ("run", ("preset",), "nope", "config error: preset: unknown preset 'nope'"),
+        # a flag preset's flags are bounded like the options of its block
+        *((route, (f"--{flag}",), -1, f"{route}.{flag}: must be >= 0, got -1")
+          for route in ("fig_variance", "fig_trajectories") for flag in ("seed", "steps")),
+        # checked before the reference run, like the replication seeds
+        ("mfa", ("mfa", "n_values"), [0, 40, 80], "mfa.n_values: every entry must be >= 1"),
     ])
     def test_bad_value_on_each_route_exit_2_names_key(self, tmp_path, capsys, monkeypatch,
                                                       route, path, value, named):
         # the preset and theory blocks are as strict as the run blocks
         monkeypatch.chdir(tmp_path)
         (tmp_path / "taken").write_text("a file\n")
+        started, reference = [], mfa.reference_consensus_trajectory
+        monkeypatch.setattr(mfa, "reference_consensus_trajectory",
+                            lambda *args: started.append(1) or reference(*args))
         command, cfg = route_config(route, tmp_path)
-        if path:
-            parent = cfg
-            for key in path[:-1]:
-                parent = parent[key]
-            parent[path[-1]] = value
+        if path[:1] and path[0].startswith("--"):  # a flag on the command line
+            argv = ["preset", route.replace("_", "-"), path[0], str(value), "--out", "out"]
         else:
-            cfg = value
-        assert cli.main([*command, write_config(tmp_path, cfg)]) == cli.EXIT_CONFIG
+            if path:
+                parent = cfg
+                for key in path[:-1]:
+                    parent = parent[key]
+                parent[path[-1]] = value
+            else:
+                cfg = value
+            argv = [*command, write_config(tmp_path, cfg)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+        if named.startswith("mfa."):  # rejected before the reference run starts
+            assert started == []
 
     def test_fig_variance_scale_flag_names_key(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -244,7 +266,7 @@ class TestRun:
         cfg = base_config(tmp_path)
         cfg["params"]["steps"] = 0
         assert cli.main(["run", write_config(tmp_path, cfg)]) == 0
-        header, rows = cli.read_metrics_csv(tmp_path / "out" / "metrics.csv")
+        header, rows = read_csv(tmp_path / "out" / "metrics.csv")
         assert len(rows) == 1
         assert header[:5] == ["t", "v_func", "variance", "w2_sq", "consensus_dist"]
         assert header[5] == "ball_mass_0.5"
@@ -264,7 +286,7 @@ class TestRun:
 
         cfg = base_config(tmp_path)
         assert cli.main(["run", write_config(tmp_path, cfg)]) == 0
-        _, rows = cli.read_metrics_csv(tmp_path / "out" / "metrics.csv")
+        _, rows = read_csv(tmp_path / "out" / "metrics.csv")
         params = cli.parse_params(cfg["params"])
         obj = objectives.quadratic(1)
         dist = engine.GaussianIsotropic((1.0,), 0.5)
@@ -302,7 +324,7 @@ class TestRun:
         cfg["init"] = {"kind": "uniform", "lo": [1e149], "hi": [1e150]}
         cfg["params"].update({"lambda": 1e308, "sigma": 0.0, "dt": 1.0, "alpha": 1e-8})
         assert cli.main(["run", write_config(tmp_path, cfg)]) == cli.EXIT_DIVERGENCE
-        _, rows = cli.read_metrics_csv(tmp_path / "out" / "metrics.csv")
+        _, rows = read_csv(tmp_path / "out" / "metrics.csv")
         assert len(rows) >= 1  # records up to the failure are persisted
 
 
@@ -384,7 +406,7 @@ class TestPresets:
         ])
         assert code == 0
         for mu in (1, 2, 3, 4):
-            header, rows = cli.read_metrics_csv(out / f"mu{mu}" / "metrics.csv")
+            header, rows = read_csv(out / f"mu{mu}" / "metrics.csv")
             assert len(rows) == 41
         text = (out / "summary.txt").read_text()
         assert "theoretical_rate = 1.75" in text

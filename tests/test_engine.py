@@ -5,11 +5,14 @@ import weakref
 import numpy as np
 import oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbo import engine, metrics, objectives
 from cbo.errors import (
     ConfigError,
     DivergenceError,
+    InvalidInputError,
     NumericDomainError,
 )
 
@@ -249,7 +252,7 @@ def one_step(x, obj, params, consensus=None):
     """The positions of state 1 that ``engine.states`` reaches from ``x``."""
     run = engine.states(np.array(x, dtype=float), obj, params,
                         engine.NoiseSource(params.seed), consensus=consensus)
-    return [x.copy() for _, x, _, _ in run][1]
+    return [x.copy() for _, x, _ in run][1]
 
 
 class TestCboStep:
@@ -315,7 +318,8 @@ def counting(obj, calls, nan_from=None, particle=0):
         calls.append(1)
         return e
 
-    return dataclasses.replace(obj, eval=eval_)
+    # a replaced eval drops the floor, which bounds only the original
+    return dataclasses.replace(obj, eval=eval_, floor=None)
 
 
 def oracle_records(dist, obj, params, plan):
@@ -356,9 +360,8 @@ class TestStates:
         obj = objectives.rastrigin(1)
         x0 = engine.sample_initial(self.DIST, p.n_particles, 1, p.seed)
         ks = []
-        for k, x, e, c in engine.states(x0, obj, p, engine.NoiseSource(p.seed)):
+        for k, x, c in engine.states(x0, obj, p, engine.NoiseSource(p.seed)):
             ks.append(k)
-            assert np.array_equal(e, obj.eval(x))
             assert np.array_equal(c, oracle.consensus(x, obj.eval(x), p.alpha))
         assert ks == list(range(p.steps + 1))
 
@@ -370,7 +373,6 @@ class TestStates:
         pinned = np.zeros((p.steps + 1, 1))
         out = list(engine.states(x0, obj, p, engine.NoiseSource(p.seed), consensus=pinned))
         assert len(out) == p.steps + 1
-        assert all(e is None for _, _, e, _ in out)
         assert calls == []
 
     def test_nonfinite_energy_names_step_and_particle(self):
@@ -440,23 +442,19 @@ class TestBatchedStates:
             consensus = np.linspace(1.0, 0.2, p.steps + 1)[:, None] * np.ones(dim)
         # a yielded array is valid only until the iterator resumes: keep copies
         separate = [
-            [(k, x.copy(), None if e is None else e.copy(), c.copy())
-             for k, x, e, c in engine.states(engine.sample_initial(dist, self.N, dim, s), obj,
+            [(k, x.copy(), c.copy())
+             for k, x, c in engine.states(engine.sample_initial(dist, self.N, dim, s), obj,
                                              p, engine.NoiseSource(s), consensus=consensus)]
             for s in self.SEEDS
         ]
         batch = engine.sample_initial(dist, self.N, dim, self.SEEDS)
         run = engine.states(batch, obj, p, engine.NoiseSource(self.SEEDS), consensus=consensus)
-        for k, x, e, c in run:
+        for k, x, c in run:
             assert x.shape == (3, self.N, dim)
-            for r, (kr, xr, er, cr) in enumerate(states_r[k] for states_r in separate):
+            for r, (kr, xr, cr) in enumerate(states_r[k] for states_r in separate):
                 assert kr == k
                 assert np.array_equal(x[r], xr)
                 assert np.array_equal(c if pinned else c[r], cr)
-                if er is None:
-                    assert e is None
-                else:
-                    assert np.array_equal(e[r], er)
         assert k == p.steps
 
     def test_nonfinite_energy_names_replication_seed(self):
@@ -515,7 +513,7 @@ def nan_on_row(obj, marker, from_eval):
             seen.append(1)
         return e
 
-    return dataclasses.replace(obj, eval=eval_)
+    return dataclasses.replace(obj, eval=eval_, floor=None)
 
 
 class TestBlocks:
@@ -525,15 +523,23 @@ class TestBlocks:
 
     SEEDS = (21, 22, 23)
 
-    @pytest.mark.parametrize("block", [64, metrics.BLOCK_ROWS])
+    # at alpha = 1e15 nearly every weight is zero, so the states after the
+    # first are screened (but with a batch of 64-row blocks, whose share of
+    # nonzero weights is 3/159): only the rows that can carry weight are
+    # evaluated
+    @pytest.mark.parametrize("block, alpha", [
+        pytest.param(block, alpha, id=str(block) + ("" if alpha == 30.0 else "-alpha1e15"))
+        for alpha in (30.0, 1e15) for block in (64, metrics.BLOCK_ROWS)
+    ])
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("h", [engine.CONST_ONE, engine.RampHeaviside(0.5)])
     @pytest.mark.parametrize("pinned", [False, True])
     @pytest.mark.parametrize("batch", [False, True])
-    def test_states_equal_whole_array_loop(self, monkeypatch, block, dim, h, pinned, batch):
+    def test_states_equal_whole_array_loop(self, monkeypatch, block, alpha, dim, h, pinned,
+                                           batch):
         per = block // len(self.SEEDS) if batch else block  # particles per block
         n = 2 * per + per // 2 + 1  # three blocks, the last one partial
-        p = engine.CboParams(lam=1.0, sigma=0.5, alpha=30.0, dt=0.05, steps=4,
+        p = engine.CboParams(lam=1.0, sigma=0.5, alpha=alpha, dt=0.05, steps=4,
                              n_particles=n, dim=dim, h_variant=h, seed=self.SEEDS[0])
         obj = objectives.rastrigin(dim)
         dist = engine.GaussianIsotropic((1.0,) * dim, 0.8)
@@ -552,11 +558,10 @@ class TestBlocks:
         monkeypatch.setattr(metrics, "BLOCK_ROWS", block)
         assert len(metrics.row_blocks(x0.shape)) == 3
         got = engine.states(x0, obj, p, noise(), consensus=consensus)
-        for (k, x, e, c), (kw, xw, ew, cw) in zip(got, want, strict=True):
+        for (k, x, c), (kw, xw, _, cw) in zip(got, want, strict=True):
             assert k == kw
             assert np.array_equal(x, xw)
             assert np.array_equal(c, cw)
-            assert (e is None and ew is None) or np.array_equal(e, ew)
         assert np.array_equal(x0, x0_before)  # the caller's state 0 is never written
 
     @pytest.mark.parametrize("batch", [False, True])
@@ -595,6 +600,184 @@ class TestBlocks:
         want_seed = self.SEEDS[1] if batch else None
         assert (err.value.step, err.value.particle, err.value.seed) == (2, particle, want_seed)
         assert f"particle {particle}" in str(err.value) and "step 2" in str(err.value)
+
+
+def row_counting(obj, rows, poison=None):
+    """``obj``, floor kept, whose evaluations append the evaluated rows to
+    ``rows``; while ``poison`` (a list the test fills between states) holds
+    ``(row, value)``, that row's energy and floor are ``value``."""
+
+    def marked(fn, v):
+        out = np.array(fn(v), dtype=float)
+        if poison:
+            row, value = poison[0]
+            out[(np.asarray(v) == row).all(axis=-1)] = value
+        return out
+
+    def eval_(v):
+        rows.append(np.array(v, dtype=float).reshape(-1, obj.dim))
+        return marked(obj.eval, v)
+
+    return dataclasses.replace(obj, eval=eval_, floor=lambda v: marked(obj.floor, v))
+
+
+def evaluated_per_state(run, rows):
+    """The particle indices (flat over a batch) whose energies each state of
+    ``run`` evaluated, in state order."""
+    out = []
+    for _, x, _ in run:
+        index = {row.tobytes(): i for i, row in enumerate(x.reshape(-1, x.shape[-1]))}
+        out.append([index[row.tobytes()] for block in rows for row in block])
+        rows.clear()
+    return out
+
+
+class TestScreening:
+    """With a floor, ConstOne and a free consensus, a state of more than one
+    row block after one with few nonzero weights evaluates only the rows
+    that can carry weight."""
+
+    DIST = engine.GaussianIsotropic((1.0,), 0.8)
+
+    def run(self, obj, alpha, n=20000, steps=10, seeds=1, consensus=None):
+        p = engine.CboParams(lam=1.0, sigma=0.5, alpha=alpha, dt=0.01, steps=steps,
+                             n_particles=n, dim=1, seed=1)
+        x0 = engine.sample_initial(self.DIST, n, 1, seeds)
+        return engine.states(x0, obj, p, engine.NoiseSource(seeds), consensus=consensus)
+
+    @pytest.mark.parametrize("seeds", [1, (1, 2, 3)])
+    def test_large_alpha_evaluates_few_rows_once(self, seeds):
+        # the run-recorded shape (N = 20000, d = 1, alpha = 1e15)
+        rows = []
+        obj = row_counting(objectives.rastrigin(1), rows)
+        per_state = evaluated_per_state(self.run(obj, 1e15, seeds=seeds), rows)
+        size = 20000 * (1 if isinstance(seeds, int) else len(seeds))
+        assert sorted(per_state[0]) == list(range(size))  # state 0 in full
+        for index in per_state:
+            assert len(set(index)) == len(index)  # no row twice
+        assert sum(map(len, per_state[1:])) < 0.01 * size * (len(per_state) - 1)
+
+    def test_moderate_alpha_evaluates_every_row(self):
+        rows = []
+        obj = row_counting(objectives.rastrigin(1), rows)
+        for index in evaluated_per_state(self.run(obj, 30.0), rows):
+            assert sorted(index) == list(range(20000))
+
+    def test_pinned_const_one_evaluates_nothing(self):
+        rows, floors = [], []
+        base = objectives.rastrigin(1)
+        obj = dataclasses.replace(row_counting(base, rows),
+                                  floor=lambda v: floors.append(1) or base.floor(v))
+        pinned = np.zeros((11, 1))
+        assert len(list(self.run(obj, 1e15, n=300, consensus=pinned))) == 11
+        assert rows == [] and floors == []
+
+    @pytest.mark.parametrize("batch", [False, True])
+    @pytest.mark.parametrize("bad, floor_too", [(math.nan, False), (math.inf, True)],
+                             ids=["nan-candidate", "inf-floor"])
+    def test_nonfinite_energy_names_what_full_evaluation_names(self, monkeypatch, batch, bad,
+                                                               floor_too):
+        # a non-finite energy from state 2 on at a particle next to its
+        # replication's best one.  A NaN with the floor finite: the particle
+        # is a candidate of the screened evaluation.  An inf floor with it:
+        # the state is evaluated in full, or the row, never a candidate,
+        # would go unchecked.  Both name the step, particle and seed that
+        # the evaluation of every row names.
+        monkeypatch.setattr(metrics, "BLOCK_ROWS", 64)  # only a state of blocks is screened
+        seeds = (31, 32, 33) if batch else 31
+        x = np.random.default_rng(5).uniform(0.5, 1.0, (3, 300, 1) if batch else (300, 1))
+        mine = x[1] if batch else x
+        mine[[17, 250], 0] = 0.0, 1e-9  # the best particle and a close second
+        # lam = sigma = 0: positions stay put
+        p = engine.CboParams(lam=0.0, sigma=0.0, alpha=1e15, dt=0.1, steps=5,
+                             n_particles=300, dim=1, seed=31)
+
+        def fail(obj, poison):
+            run = engine.states(x, obj, p, engine.NoiseSource(seeds))
+            next(run), next(run)
+            poison.append((mine[250].copy(), bad))
+            with pytest.raises(NumericDomainError) as err:
+                next(run)
+            return err.value
+
+        base, poison, full_poison = objectives.rastrigin(1), [], []
+        obj = row_counting(base, [], poison)
+        if not floor_too:
+            obj = dataclasses.replace(obj, floor=base.floor)
+        got = fail(obj, poison)
+        full = dataclasses.replace(row_counting(base, [], full_poison), floor=None)
+        want = fail(full, full_poison)
+        assert (got.step, got.particle, got.seed) == (2, 250, 32 if batch else None)
+        assert str(got) == str(want)
+
+    def test_weight_near_cutoff_is_evaluated(self, monkeypatch):
+        # beside the best particle at 0, one whose weight exp(-717.5) is
+        # tiny but not zero: it moves the consensus off 0, and its floor,
+        # 1.0201 against the energy 1.0250, would give it another weight
+        monkeypatch.setattr(metrics, "BLOCK_ROWS", 64)
+        obj = objectives.rastrigin(1)
+        x = np.random.default_rng(7).uniform(2.0, 3.0, (300, 1))
+        x[[3, 200], 0] = 0.0, 1.01
+        p = engine.CboParams(lam=0.0, sigma=0.0, alpha=700.0, dt=0.1, steps=3,
+                             n_particles=300, dim=1, seed=0)
+        want = oracle.states(x, obj, p, engine.NoiseSource(0))
+        got = engine.states(x, obj, p, engine.NoiseSource(0))
+        for (k, _, c), (_, _, _, cw) in zip(got, want, strict=True):
+            assert c[0] != 0.0 and np.array_equal(c, cw), k
+
+    def test_floor_above_energy_names_particle_and_step(self, monkeypatch):
+        # a floor that no longer bounds eval, as when eval is replaced and
+        # the floor kept
+        monkeypatch.setattr(metrics, "BLOCK_ROWS", 64)
+        base = objectives.rastrigin(1)
+        obj = dataclasses.replace(base, floor=lambda v: base.floor(v) + 1.0)
+        x = np.random.default_rng(6).uniform(0.5, 1.0, (300, 1))
+        x[42] = 0.01  # the smallest floor: evaluated, and 1 above its energy
+        p = engine.CboParams(lam=0.0, sigma=0.0, alpha=1e15, dt=0.1, steps=3,
+                             n_particles=300, dim=1, seed=0)
+        with pytest.raises(InvalidInputError) as err:
+            list(engine.states(x, obj, p, engine.NoiseSource(0)))
+        assert "particle 42" in str(err.value) and "step 1" in str(err.value)
+
+
+class TestFuzzAgainstOracle:
+    @settings(max_examples=250, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_states_bitwise_equal_oracle(self, data):
+        # positions and consensus bitwise those of the whole-array oracle
+        # anywhere in the space of shapes, blocks, alphas, cutoffs and
+        # objectives; half the examples are runs whose states after the
+        # first can be screened: a free consensus, H = 1, Rastrigin, n >= 64,
+        # alpha >= 1e3 and more than one block
+        draw = data.draw
+        screenable = draw(st.booleans())
+        d = draw(st.integers(1, 10))
+        n = draw(st.integers(64 if screenable else 1, 200))
+        reps = draw(st.sampled_from([None, 1, 2, 3]))
+        seed = draw(st.integers(0, 2**64 - 1))
+        seeds = seed if reps is None else [(seed + r) % 2**64 for r in range(reps)]
+        hs = [engine.CONST_ONE] + ([] if screenable else [engine.RampHeaviside(0.5)])
+        p = engine.CboParams(
+            lam=draw(st.sampled_from([0.0, 1.0, 5.0])),
+            sigma=draw(st.sampled_from([0.0, 0.5, 2.0])),
+            alpha=10.0 ** draw(st.floats(3 if screenable else -2, 15)),
+            dt=draw(st.sampled_from([0.01, 0.1])), steps=draw(st.integers(0, 4)),
+            n_particles=n, dim=d, h_variant=draw(st.sampled_from(hs)), seed=seed)
+        factories = [objectives.rastrigin] + ([] if screenable else [objectives.quadratic])
+        obj = draw(st.sampled_from(factories))(d)
+        rng = np.random.default_rng(seed)
+        x0 = rng.normal(1.0, 10.0 ** draw(st.floats(-1, 1)), ((reps,) if reps else ()) + (n, d))
+        consensus = None
+        if not screenable and draw(st.booleans()):  # pinned
+            consensus = rng.normal(0.0, 1.0, (p.steps + 1, d))
+        want = oracle.states(x0, obj, p, engine.NoiseSource(seeds), consensus)
+        with pytest.MonkeyPatch.context() as mp:
+            blocks = [7, 64] + ([] if screenable else [8192])
+            mp.setattr(metrics, "BLOCK_ROWS", draw(st.sampled_from(blocks)))
+            got = engine.states(x0, obj, p, engine.NoiseSource(seeds), consensus=consensus)
+            for (k, x, c), (_, xw, _, cw) in zip(got, want, strict=True):
+                assert np.array_equal(x, xw), k
+                assert np.array_equal(c, cw), k
 
 
 class TestMaskedExp:

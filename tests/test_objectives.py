@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cbo import objectives
 from cbo.errors import ConfigError, InvalidDimensionError
@@ -31,6 +34,28 @@ class TestRastrigin:
                 v = rng.uniform(-10, 10, d)
                 parts = sum(float(one.eval(v[k : k + 1])) for k in range(d))
                 np.testing.assert_allclose(float(obj.eval(v)), parts, rtol=1e-12)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_floor_bounds_eval_exactly(self, data):
+        # the floor contract, in float64 as computed: wherever the floor is
+        # finite, so is eval, and floor <= eval; rows of +-0, subnormals and
+        # coordinates up to 1e308, whose squares overflow (and where eval
+        # reads cos(inf) = nan from 2 pi v)
+        dim = data.draw(st.integers(1, 10))
+        coords = st.one_of(
+            st.floats(-1e308, 1e308),
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e154, 1.4e154, -1e308]),
+        )
+        shape = data.draw(st.sampled_from([(dim,), (1, dim), (7, dim), (33, dim)]))
+        v = data.draw(arrays(np.float64, shape, elements=coords))
+        obj = objectives.rastrigin(dim)
+        with np.errstate(over="ignore", invalid="ignore"):
+            e, f = np.asarray(obj.eval(v)), np.asarray(obj.floor(v))
+        assert e.shape == f.shape == shape[:-1]
+        finite = np.isfinite(f)
+        assert np.all(np.isfinite(e[finite]))
+        assert np.all(f[finite] <= e[finite])
 
     def test_quadratic_minorant(self):
         # implies the coercivity property with eta = 1, nu = 1/2
