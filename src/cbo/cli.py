@@ -13,11 +13,12 @@ same block, and ``params`` sets seed, steps and dt):
     cbo theory                   theory: eps, tau, r, b_bound, q_laplace, sample_n
 
 Exit codes: 0 success, 1 the laplace audit found violations, 2 config error
-(a missing, mistyped or out-of-range value in any block, named by its key, or
-by its block where a library type rejects it; sizes beyond memory, unwritable
-outputs, a CBO_THREADS that is not a positive integer), 3 divergence, 4
-theory-precondition failure.  CBO_THREADS caps the workers of the
-fig-variance and fig-trajectories fan-out; mfa-sweep uses one.
+(a missing, mistyped or out-of-range value in any block, or a key that its
+block does not list, named by its key, or by its block where a library type
+rejects it; sizes beyond memory, unwritable outputs, a CBO_THREADS that is
+not a positive integer), 3 divergence, 4 theory-precondition failure.
+CBO_THREADS caps the workers of the fig-variance and fig-trajectories
+fan-out; mfa-sweep uses one.
 """
 
 from __future__ import annotations
@@ -114,13 +115,20 @@ class Opt(NamedTuple):
     lo: object = None
 
 
-def read_block(cfg, ctx, opts):
+def read_block(cfg, ctx, opts, partial=False):
     """The typed values of block ``ctx`` ("" for the top level), by key.  An
     absent key takes its default; a present value must pass its reader and
     lower bound, but null stands for a default of None.  A reader's
-    ``ConfigError`` gets the key as a prefix unless it starts with it."""
+    ``ConfigError`` gets the key as a prefix unless it starts with it.  A
+    block rejects a key that ``opts`` does not list, unless ``partial``
+    leaves the other keys to a second read; the top level is open, as one
+    file serves several routes."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"{ctx or 'config'}: expected an object, got {cfg!r}")
+    listed = [opt.key for opt in opts]
+    unknown = [key for key in cfg if key not in listed]
+    if ctx and unknown and not partial:
+        raise ConfigError(f"{ctx}.{unknown[0]}: unknown key; {ctx} takes {', '.join(listed)}")
     values = {}
     for opt in opts:
         name = f"{ctx}.{opt.key}" if ctx else opt.key
@@ -156,28 +164,32 @@ def parse_objective(cfg, ctx="objective"):
     v = read_block(cfg, ctx, (
         Opt("name", _json_str), Opt("dim", _json_int), Opt("center", _json_vector, None),
     ))
-    if v["name"] != "quadratic" or v["center"] is None:
+    if v["center"] is None:
         del v["center"]
+    elif v["name"] != "quadratic":
+        raise ConfigError(f"{ctx}.center: only the quadratic objective has a center")
     _check_floats(v["dim"], f"{ctx}.dim")
     return objectives.by_name(**v)
 
 
 def parse_init(cfg, ctx="init"):
-    kind = read_block(cfg, ctx, (Opt("kind", _json_str),))["kind"]
-    if kind == "gaussian":
-        opts = (Opt("mean", _json_vector), Opt("variance", _json_finite))
-        return engine.GaussianIsotropic(**read_block(cfg, ctx, opts))
-    if kind == "uniform":
-        opts = (Opt("lo", _json_vector), Opt("hi", _json_vector))
-        return engine.UniformBox(**read_block(cfg, ctx, opts))
-    raise ConfigError(f"{ctx}.kind: unknown kind {kind!r} (gaussian|uniform)")
+    kind = Opt("kind", _json_str)
+    name = read_block(cfg, ctx, (kind,), partial=True)["kind"]
+    if name == "gaussian":
+        v = read_block(cfg, ctx, (kind, Opt("mean", _json_vector), Opt("variance", _json_finite)))
+        return engine.GaussianIsotropic(v["mean"], v["variance"])
+    if name == "uniform":
+        v = read_block(cfg, ctx, (kind, Opt("lo", _json_vector), Opt("hi", _json_vector)))
+        return engine.UniformBox(v["lo"], v["hi"])
+    raise ConfigError(f"{ctx}.kind: unknown kind {name!r} (gaussian|uniform)")
 
 
 def _json_h(value, ctx):
     if value in (None, "const_one"):
         return engine.CONST_ONE
     if isinstance(value, dict) and value.get("kind") == "ramp_heaviside":
-        return engine.RampHeaviside(read_block(value, ctx, (Opt("delta", _json_finite),))["delta"])
+        opts = (Opt("kind", _json_str), Opt("delta", _json_finite))
+        return engine.RampHeaviside(read_block(value, ctx, opts)["delta"])
     raise ConfigError(f"{ctx}: expected 'const_one' or "
                       f"{{'kind': 'ramp_heaviside', 'delta': ...}}, got {value!r}")
 
@@ -326,10 +338,11 @@ def run_simulation(cfg):
 def preset_fig_variance(out_dir, scale, seed, steps, dt=0.01):
     """Variance vs V-functional decay on the 1-D Rastrigin objective, one
     run per initial mean; N is the full 320000 scaled by ``scale``."""
-    if not 0.0 < scale <= 1.0:
-        raise ConfigError(f"fig_variance.scale: must lie in (0, 1], got {scale}")
-    out_dir = Path(out_dir)
     n = int(round(FIG_VARIANCE_FULL_N * scale))
+    if not 0.0 < scale <= 1.0 or n < 1:
+        raise ConfigError(f"fig_variance.scale: must lie in (0, 1] and give "
+                          f"N = round({FIG_VARIANCE_FULL_N} * scale) >= 1, got {scale}")
+    out_dir = Path(out_dir)
     obj = objectives.rastrigin(1)
     plan = RecordingPlan(stride=1, ball_radii=(0.25, 0.5, 1.0))
     base = engine.CboParams(lam=1.0, sigma=0.5, alpha=1e15, dt=dt, steps=steps,
@@ -459,10 +472,17 @@ def preset_fig_trajectories(out_dir, runs, n, seed, steps, dt=0.01):
 def run_mfa_sweep(out_dir, cfg, n_values, n_ref, n_seeds, seed0, m_factor):
     """The 1/N mean-field sweep of run config ``cfg``; seed0 defaults to params.seed + 1."""
     seed0 = cfg.params.seed + 1 if seed0 is None else seed0
-    if min(n_values, default=1) < 1:
+    if len(set(n_values)) < 3:
+        raise ConfigError(f"mfa.n_values: need >= 3 distinct entries, got {list(n_values)}")
+    if min(n_values) < 1:
         raise ConfigError(f"mfa.n_values: every entry must be >= 1, got {list(n_values)}")
+    if n_ref < 10 * max(n_values):
+        raise ConfigError(f"mfa.n_ref: must be >= 10 * max(n_values) = {10 * max(n_values)}, "
+                          f"got {n_ref}")
+    if not m_factor > 0:
+        raise ConfigError(f"mfa.m_factor: must be > 0, got {m_factor}")
     _check_floats(n_ref * cfg.params.dim, "mfa.n_ref")
-    _check_floats(n_seeds * max(n_values, default=0), "mfa.n_seeds")  # (n_seeds, n) sups
+    _check_floats(n_seeds * max(n_values), "mfa.n_seeds")  # (n_seeds, n) sups
     if seed0 + n_seeds > 2**64:
         raise ConfigError(f"mfa.seed0: the seeds {seed0}..{seed0 + n_seeds - 1} exceed 64 bits")
     seeds = range(seed0, seed0 + n_seeds)
@@ -490,6 +510,7 @@ def run_laplace_audit(out_dir, measures, seed, max_n, min_inside):
     if max_n < 2 * min_inside:
         raise ConfigError(f"audit.max_n: must be >= 2 * min_inside = {2 * min_inside}, "
                           f"got {max_n}")
+    _check_floats(max_n * 3, "audit.max_n")  # up to (max_n, 3) points per measure
     result = theory.laplace_audit(n_measures=measures, seed=seed, max_n=max_n,
                                   min_inside=min_inside)
     print(write_summary(Path(out_dir) / "report.txt", {
@@ -556,10 +577,15 @@ PRESETS = {  # by JSON name; the command line spells "_" as "-"
 def run_theory(cfg):
     obj, params = cfg.objective, cfg.params
     t = read_block(cfg.raw.get("theory", {}), "theory", (
-        Opt("eps", _json_finite, 0.01), Opt("tau", _json_finite, 0.1),
-        *(Opt(key, _json_finite, None) for key in ("r", "b_bound", "q_laplace")),
-        Opt("sample_n", _json_int, None, lo=1),
+        Opt("eps", _json_finite, 0.01), Opt("tau", _json_finite, 0.1, lo=0.0),
+        Opt("r", _json_finite, None), Opt("b_bound", _json_finite, None, lo=0.0),
+        Opt("q_laplace", _json_finite, None), Opt("sample_n", _json_int, None, lo=1),
     ))
+    if not t["tau"] < 1.0:
+        raise ConfigError(f"theory.tau: must lie in [0, 1), got {t['tau']}")
+    for key in ("r", "q_laplace"):
+        if t[key] is not None and not t[key] > 0:
+            raise ConfigError(f"theory.{key}: must be > 0, got {t[key]}")
     sample_n = params.n_particles if t["sample_n"] is None else t["sample_n"]
     _check_floats(sample_n * params.dim, "theory.sample_n")
     x0 = engine.sample_initial(cfg.init, sample_n, params.dim, params.seed)
@@ -621,8 +647,9 @@ def _dispatch(args):
     name = getattr(args, "preset", "").replace("-", "_")
     if name and PRESETS[name].flags:
         preset = PRESETS[name]
+        opts = preset.options + preset.flags
         flags = {**vars(args), **(preset.full if args.full else {})}
-        values = read_block(flags, preset.block, preset.options + preset.flags)
+        values = read_block({o.key: flags[o.key] for o in opts}, preset.block, opts)
         return preset.run(Path(args.out), **values)
     raw = load_config(args.config)
     if args.command == "theory":

@@ -17,10 +17,13 @@ Positions may carry a leading replication axis, (R, n, d): every reduction
 runs over the particle axis, so a batch of R independent runs steps as one
 array with the same arithmetic, bit for bit, as R separate (n, d) runs.
 
-At large alpha nearly every consensus weight rounds to exactly zero.  For
-an objective with a ``floor`` (an exact lower bound of its energy), the
-iterator then evaluates the objective only on the rows whose weight can be
-nonzero, and the consensus stays bitwise that of every row's energy.
+``states`` takes each state through three layers, one call each: its
+energies, its consensus point and the step.  Only the energy layer calls
+the objective, the ramp's E(c) included.  At large alpha nearly every
+consensus weight rounds to exactly zero; for an objective with a ``floor``
+(an exact lower bound of its energy), the energy layer then evaluates the
+objective only on the rows whose weight can be nonzero, and the consensus
+stays bitwise that of every row's energy.
 """
 
 from __future__ import annotations
@@ -320,16 +323,21 @@ def _energies(obj, x, e, step, seeds, blocks):
     return functools.reduce(np.minimum, mins)
 
 
-def _screened_energies(obj, x, e, alpha, w, step, seeds):
-    """The minimum energy per replication of the positions ``x``, whose
-    floors ``e`` holds, from the energies of only those rows that can be
-    the minimum or carry a nonzero weight; their energies overwrite their
-    floors in ``e``, and ``w`` (shaped like ``e``) is the weights' workspace.
+def _screened_energies(obj, x, e, alpha, w, step, seeds, blocks):
+    """The minimum energy per replication of the positions ``x``, from the
+    energies of only those rows that can be the minimum or carry a nonzero
+    weight.  Every row's floor is written into ``e``, one row block of
+    ``blocks`` at a time, and the energies of those rows overwrite their
+    floors; ``w`` (shaped like ``e``) is the weights' workspace.  If a floor
+    is not finite, every row's energy is evaluated (``_energies``).
 
     Let u be the energy of a replication's row of smallest floor.  A row
     with -alpha (floor - u) <= _EXP_ZERO_BELOW has E >= floor > u >= E_min:
     it is not the minimum, and ``_weights`` turns its floor, like its
     energy, into exactly +0.0.  Each row is evaluated at most once."""
+    # every block's floor before the test, like every block's energy
+    if any([_eval_rows(obj.floor, x[..., s, :], e, s) is None for s in blocks]):
+        return _energies(obj, x, e, step, seeds, blocks)
     n, d = x.shape[-2:]
     xf, ef = x.reshape(-1, d), e.reshape(-1)  # views of the engine's workspace
     first = e.reshape(-1, n).argmin(axis=-1) + np.arange(0, ef.size, n)
@@ -393,34 +401,20 @@ def consensus_point(x, energies, alpha):
     return _weighted_consensus(x, energies, energies.min(axis=-1, keepdims=True), float(alpha))
 
 
-def _step(x, out, obj, params, c, e, increments, step, seeds, blocks, floors=False):
+def _step(x, out, params, c, e, e_c, increments, step, seeds, blocks):
     """Write the positions of state ``step + 1`` into ``out`` (which may be
-    ``x`` itself) from the positions ``x`` of state ``step``, its consensus
-    point ``c`` ((dim,), or (R, dim) per replication of a batch) and its
-    energies ``e`` (read only when H is not ConstOne).
+    ``x`` itself) from the positions ``x`` of state ``step`` and its
+    consensus point ``c`` ((dim,), or (R, dim) per replication of a batch).
+    For H other than ConstOne it reads the energies ``e`` of the state and
+    ``e_c`` of its consensus point; ``e_c`` is None for ConstOne.
 
-    The update runs one row block of ``blocks`` at a time.  Unless ``e`` is
-    None (a pinned consensus with H = 1 needs no energies), the energies of
-    each new block, or with ``floors`` the objective's floors, overwrite
-    that block's entries of ``e`` in the same pass, while the block is
-    still in cache, and their minimum per replication is returned (None if
-    a floor is not finite).  Every row is computed as a whole-array step
-    would compute it, so the result does not depend on the block size;
-    errors name the first failing particle of the whole array.
+    The update runs one row block of ``blocks`` at a time.  Every row is
+    computed as a whole-array step would compute it, so the result does not
+    depend on the block size; errors name the first failing particle of the
+    whole array.
     """
     c = c[..., None, :]  # broadcasts over the particle axis
-    ramp = not isinstance(params.h_variant, ConstOne)
-    if ramp:
-        e_c = np.asarray(obj.eval(c), dtype=float)
-        bad = ~np.isfinite(e_c)
-        if bad.any():
-            _, seed, rep = _locate(bad, seeds)
-            raise NumericDomainError(
-                f"non-finite energy at the consensus point{rep} at step {step}",
-                step=step, seed=seed,
-            )
-    fill = obj.floor if floors else obj.eval
-    diverged, mins = False, []
+    diverged = False
     for s in blocks:
         xb, new = x[..., s, :], out[..., s, :]
         # x - dt lam H (x - c) + (sigma |x - c|) inc, with one buffer for
@@ -430,26 +424,19 @@ def _step(x, out, obj, params, c, e, increments, step, seeds, blocks, floors=Fal
         with np.errstate(over="ignore", invalid="ignore"):
             dist = np.sqrt((diff * diff).sum(axis=-1))
             diff *= params.dt * params.lam
-        if ramp:
+        if e_c is not None:
             diff *= h_eval(params.h_variant, e[..., s] - e_c)[..., None]
         with np.errstate(over="ignore", invalid="ignore"):
             np.subtract(xb, diff, out=new)
             dist *= params.sigma
             new += np.multiply(dist[..., None], increments[..., s, :], out=diff)
         diverged |= not np.isfinite(new).all()
-        if e is not None:
-            mins.append(_eval_rows(fill, new, e, s))
     if diverged:
         i, seed, rep = _locate(~np.isfinite(out).all(axis=-1), seeds)
         raise DivergenceError(
             f"non-finite coordinates of particle {i}{rep} after step {step}",
             step=step, particle=i, seed=seed,
         )
-    if any(m is None for m in mins):
-        if floors:
-            return None
-        raise _nonfinite_energy(e, step + 1, seeds)
-    return functools.reduce(np.minimum, mins) if mins else None
 
 
 # A state is screened (``_screened_energies``) only when it spans more than
@@ -483,21 +470,22 @@ def states(x, obj, params, noise, consensus=None):
     shared by every replication, and errors name the failing replication's
     seed.
 
-    The step and the next state's energies run over cache-sized row blocks
-    (``metrics.row_blocks``) in one pass, so ``obj.eval`` must compute each
-    row's energy from that row alone.  With a free consensus, ``ConstOne``
-    and an objective with a ``floor``, a state of more than one block after
-    one with few nonzero weights is screened: the pass writes floors, and
-    only the rows whose weight can be nonzero are evaluated, in one call,
-    so the consensus is bitwise that of every row's energy.  The pass works in place, in a
-    workspace that lives until the last state, and reads each step's
-    increments from ``noise.increments(k, n, dim, dt)``, the source's one
-    buffer (two iterators stepping one ``NoiseSource`` in lockstep share
-    it).  So the yielded positions stay valid only until the iterator is
-    resumed; copy them to keep them, and do not modify them.  State 0 is
-    the caller's array, never written and let go of after the first step.
-    A yielded consensus is a new array (or the pinned entry) each state.
-    ``noise`` holds generator state, so a run in each thread needs its own."""
+    The energies and the step run over cache-sized row blocks
+    (``metrics.row_blocks``), so ``obj.eval`` must compute each row's
+    energy from that row alone.  With a free consensus, ``ConstOne`` and
+    an objective with a ``floor``, a state of more than one block after one
+    with few nonzero weights is screened: its floors are written, and only
+    the rows whose weight can be nonzero are evaluated, in one call.  A
+    ramp H's E(c) is evaluated just before the step that reads it.  The
+    step works in place, in a workspace that lives until the last state,
+    and reads each step's increments from ``noise.increments(k, n, dim,
+    dt)``, the source's one buffer (two iterators stepping one
+    ``NoiseSource`` in lockstep share it).  So the yielded positions stay
+    valid only until the iterator is resumed; copy them to keep them, and
+    do not modify them.  State 0 is the caller's array, never written and
+    let go of after the first step.  A yielded consensus is a new array (or
+    the pinned entry) each state.  ``noise`` holds generator state, so a
+    run in each thread needs its own."""
     x = np.asarray(x, dtype=float)
     if x.ndim != len(noise.shape) + 2 or x.shape[:-2] != noise.shape or 0 in x.shape[:-1]:
         want = f"(R, n, dim) for R = {len(noise.seeds)} seeds" if noise.shape else "(n, dim)"
@@ -510,25 +498,34 @@ def states(x, obj, params, noise, consensus=None):
     if not free:
         consensus = np.asarray(consensus, dtype=float)
     const_one = isinstance(params.h_variant, ConstOne)
-    e = emin = w = xw = None
+    e = w = xw = None
     if free or not const_one:
         e = np.empty(x.shape[:-1])
-        emin = _energies(obj, x, e, 0, noise.seeds, blocks)
     if free:  # the weights and the weighted positions
         w, xw = np.empty(x.shape[:-1]), np.empty(x.shape)
     screening = free and const_one and obj.floor is not None and len(blocks) > 1
     screen = False  # state 0 is evaluated in full
     for k in range(params.steps + 1):
         if k:
+            e_c = None
+            if not const_one:  # the ramp's E(c), named by the step that reads it
+                e_c = np.asarray(obj.eval(c[..., None, :]), dtype=float)
+                bad = ~np.isfinite(e_c)
+                if bad.any():
+                    _, seed, rep = _locate(bad, noise.seeds)
+                    raise NumericDomainError(
+                        f"non-finite energy at the consensus point{rep} at step {k - 1}",
+                        step=k - 1, seed=seed,
+                    )
             # the workspace from the first step on; the caller's state 0
             # stays as it is
             new = np.empty(x.shape) if k == 1 else x
-            inc = noise.increments(k - 1, n, d, params.dt)
-            emin = _step(x, new, obj, params, c, e, inc, k - 1, noise.seeds, blocks, screen)
+            _step(x, new, params, c, e, e_c, noise.increments(k - 1, n, d, params.dt),
+                  k - 1, noise.seeds, blocks)
             x = new
-            if screen:  # with a non-finite floor, every row is evaluated
-                emin = (_energies(obj, x, e, k, noise.seeds, blocks) if emin is None
-                        else _screened_energies(obj, x, e, params.alpha, w, k, noise.seeds))
+        if e is not None:
+            emin = (_screened_energies(obj, x, e, params.alpha, w, k, noise.seeds, blocks)
+                    if screen else _energies(obj, x, e, k, noise.seeds, blocks))
         if free:
             c = _weighted_consensus(x, e, emin, params.alpha, w, xw)
             # a weight is never -0.0, so its bits are zero where it is zero,
@@ -538,7 +535,7 @@ def states(x, obj, params, noise, consensus=None):
             c = consensus[k]
         if k == params.steps:
             # the last state holds only its positions
-            inc = e = w = xw = noise = None
+            e = w = xw = noise = None
         yield k, x, c
 
 

@@ -150,6 +150,8 @@ def fit_loglog_slope(ns, errs):
     errs = np.asarray(errs, dtype=float)
     if ns.size != errs.size or ns.size < 2:
         raise InvalidInputError("need matching n/err arrays with >= 2 entries")
+    if np.all(ns == ns[0]):
+        raise InvalidInputError(f"log-log fit needs distinct n values, got {ns[0]:g} only")
     if np.any(ns <= 0) or np.any(errs <= 0):
         raise InvalidInputError("log-log fit needs positive n and err values")
     return lsq_slope(np.log(ns), np.log(errs))
@@ -171,8 +173,8 @@ def mfa_sweep(dist, obj, params, n_values, n_ref, seeds, m_factor=10.0):
     fourth-moment sup.
     """
     n_values = [int(n) for n in n_values]
-    if len(n_values) < 3:
-        raise InvalidInputError(f"need >= 3 particle counts, got {len(n_values)}")
+    if len(set(n_values)) < 3:
+        raise InvalidInputError(f"need >= 3 distinct particle counts, got {n_values}")
     if n_ref < 10 * max(n_values):
         raise InvalidInputError(
             f"n_ref = {n_ref} must be >= 10x the largest experiment size "

@@ -145,6 +145,34 @@ class TestConfigErrors:
           for route in ("fig_variance", "fig_trajectories") for flag in ("seed", "steps")),
         # checked before the reference run, like the replication seeds
         ("mfa", ("mfa", "n_values"), [0, 40, 80], "mfa.n_values: every entry must be >= 1"),
+        # more floats than any array holds, rejected before numpy sees a shape
+        ("audit", ("audit", "max_n"), 2**62, "audit.max_n"),
+        # a slope over fewer than 3 distinct counts, a reference run too
+        # small for the largest count, a threshold that every replication
+        # exceeds
+        ("mfa", ("mfa", "n_values"), [40, 40, 40], "mfa.n_values: need >= 3 distinct"),
+        ("mfa", ("mfa", "n_values"), [10, 20], "mfa.n_values: need >= 3 distinct"),
+        ("mfa", ("mfa", "n_ref"), 5, "mfa.n_ref: must be >= 10 * max(n_values)"),
+        ("mfa", ("mfa", "m_factor"), 0, "mfa.m_factor: must be > 0"),
+        # a scale that rounds N to 0
+        ("fig_variance", ("--scale",), 1e-9, "fig_variance.scale"),
+        # out of range, rejected before the theory sample is drawn
+        ("theory", ("theory", "tau"), 1.5, "theory.tau: must lie in [0, 1)"),
+        ("theory", ("theory", "r"), -1, "theory.r: must be > 0"),
+        ("theory", ("theory", "b_bound"), -1, "theory.b_bound: must be >= 0"),
+        ("theory", ("theory", "q_laplace"), -1, "theory.q_laplace: must be > 0"),
+        # a key that its block does not list, and a center on an objective
+        # that has none
+        ("run", ("recording", "strides"), 5, "recording.strides: unknown key"),
+        ("run", ("init", "varaince"), 1.0, "init.varaince: unknown key"),
+        ("run", ("params", "h"), {"kind": "ramp_heaviside", "delta": 1.0, "lo": 0},
+         "params.h.lo: unknown key"),
+        ("run", ("objective",), {"name": "rastrigin", "dim": 1, "center": [5.0]},
+         "objective.center"),
+        ("theory", ("theory", "sample"), 20, "theory.sample: unknown key"),
+        ("mfa", ("mfa", "nref"), 800, "mfa.nref: unknown key"),
+        ("audit", ("audit", "maxn"), 20, "audit.maxn: unknown key"),
+        ("fig_variance", ("fig_variance", "scales"), 0.5, "fig_variance.scales: unknown key"),
     ])
     def test_bad_value_on_each_route_exit_2_names_key(self, tmp_path, capsys, monkeypatch,
                                                       route, path, value, named):

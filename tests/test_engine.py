@@ -779,6 +779,54 @@ class TestFuzzAgainstOracle:
                 assert np.array_equal(x, xw), k
                 assert np.array_equal(c, cw), k
 
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_snapshot_equals_oracle_record(self, data):
+        # every field of a record, ball masses included, equals the oracle's
+        # whole-array formulas for any shape and block size; one radius may
+        # equal a particle's distance, a tie that must count as inside
+        draw = data.draw
+        d, n = draw(st.integers(1, 10)), draw(st.integers(1, 200))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        x = rng.normal(1.0, 10.0 ** draw(st.floats(-1, 1)), (n, d))
+        vstar, c = rng.normal(0.0, 1.0, d), rng.normal(0.0, 1.0, d)
+        radii = draw(st.lists(st.floats(0.01, 20.0), max_size=3))
+        if draw(st.booleans()):
+            radii.append(float(np.linalg.norm(x[draw(st.integers(0, n - 1))] - vstar)))
+        want = oracle.record(0.5, x, vstar, c, radii)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "BLOCK_ROWS", draw(st.sampled_from([7, 64, 8192])))
+            assert metrics.snapshot(0.5, x, vstar, c, radii) == want
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_moment4_stat_equals_oracle(self, data):
+        # one value per replication of an (R, n, d) batch, coupled or not,
+        # bitwise the oracle's, for any block size
+        draw = data.draw
+        shape = (draw(st.integers(1, 3)), draw(st.integers(1, 200)), draw(st.integers(1, 10)))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        x = rng.normal(0.0, 10.0 ** draw(st.floats(-1, 1)), shape)
+        y = rng.normal(0.0, 10.0 ** draw(st.floats(-1, 1)), shape) if draw(st.booleans()) else None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "BLOCK_ROWS", draw(st.sampled_from([7, 64, 8192])))
+            assert np.array_equal(metrics.moment4_stat(x, y), oracle.moment4(x, y))
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_noise_any_call_order_equals_fresh_generator(self, data):
+        # a drawn sequence of calls, steps repeated and shapes changed in
+        # any order, draws what a generator built for each step draws
+        draw = data.draw
+        seed = draw(st.integers(0, 2**64 - 1))
+        seeds = seed if draw(st.booleans()) else [(seed + r) % 2**64 for r in range(3)]
+        src = engine.NoiseSource(seeds)
+        calls = st.tuples(st.integers(0, 3) | st.integers(0, 2**40), st.integers(1, 40),
+                          st.integers(1, 4), st.sampled_from([0.01, 0.5]))
+        for k, n, d, dt in draw(st.lists(calls, min_size=1, max_size=6)):
+            want = np.stack([fresh_increments(s, k, n, d, dt) for s in src.seeds])
+            assert np.array_equal(src.increments(k, n, d, dt), want if src.shape else want[0])
+
 
 class TestMaskedExp:
     @pytest.mark.parametrize("alpha", [1.0, 3.7, 1e15])

@@ -169,6 +169,13 @@ class TestSweep:
         with pytest.raises(InvalidInputError):
             mfa.mfa_sweep(DIST, OBJ, params(), [100], 10_000, [1, 2])
 
+    def test_equal_n_rejected(self):
+        # a slope over one n is 0/0: rejected, not NaN
+        with pytest.raises(InvalidInputError, match="distinct"):
+            mfa.fit_loglog_slope([40, 40, 40], [1.0, 2.0, 3.0])
+        with pytest.raises(InvalidInputError, match="distinct"):
+            mfa.mfa_sweep(DIST, OBJ, params(), [40, 40, 80], 10_000, [1, 2])
+
     def test_n_ref_must_dominate(self):
         with pytest.raises(InvalidInputError):
             mfa.mfa_sweep(DIST, OBJ, params(), [50, 100, 200], 1000, [1, 2])
