@@ -14,9 +14,10 @@ same block, and ``params`` sets seed, steps and dt):
 
 Exit codes: 0 success, 1 the laplace audit found violations, 2 config error
 (a missing, mistyped or out-of-range value in any block, or a key that its
-block does not list, named by its key, or by its block where a library type
-rejects it; sizes beyond memory, unwritable outputs, a CBO_THREADS that is
-not a positive integer), 3 divergence, 4 theory-precondition failure.
+block, or the top level, does not list, named by its key, or by its block
+where a library type rejects it; ``--full`` with a flag whose option it
+sets; sizes beyond memory, unwritable outputs, a CBO_THREADS that is not a
+positive integer), 3 divergence, 4 theory-precondition failure.
 CBO_THREADS caps the workers of the fig-variance and fig-trajectories
 fan-out; mfa-sweep uses one.
 """
@@ -121,8 +122,8 @@ def read_block(cfg, ctx, opts, partial=False):
     lower bound, but null stands for a default of None.  A reader's
     ``ConfigError`` gets the key as a prefix unless it starts with it.  A
     block rejects a key that ``opts`` does not list, unless ``partial``
-    leaves the other keys to a second read; the top level is open, as one
-    file serves several routes."""
+    leaves the other keys to a second read; the top level is read in parts
+    by several routes, and ``load_config`` checks its keys once."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"{ctx or 'config'}: expected an object, got {cfg!r}")
     listed = [opt.key for opt in opts]
@@ -155,9 +156,13 @@ def load_config(path):
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     try:
-        return json.loads(text)
+        raw = json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
+    unknown = [key for key in raw if key not in _TOP_LEVEL_KEYS] if isinstance(raw, dict) else []
+    if unknown:
+        raise ConfigError(f"{unknown[0]}: unknown key; a config takes {', '.join(_TOP_LEVEL_KEYS)}")
+    return raw
 
 
 def parse_objective(cfg, ctx="objective"):
@@ -570,6 +575,11 @@ PRESETS = {  # by JSON name; the command line spells "_" as "-"
 }
 
 
+# every top-level key of a config that some route reads
+_TOP_LEVEL_KEYS = ("objective", "init", "params", "recording", "outputs", "preset", "theory",
+                   *(preset.block for preset in PRESETS.values()))
+
+
 # ---------------------------------------------------------------------------
 # theory report
 
@@ -633,12 +643,14 @@ def _build_parser():
         if not preset.flags:
             p.add_argument("config")
             continue
+        # --full sets the options it names, so it excludes their flags
+        full = p.add_mutually_exclusive_group()
         for opt in preset.options + preset.flags:
             flag_type = {_json_int: int, _json_finite: float}[opt.read]
-            p.add_argument(f"--{opt.key}", type=flag_type, default=opt.default,
-                           help="default %(default)s")
-        full = ", ".join(f"{k} = {v}" for k, v in preset.full.items())
-        p.add_argument("--full", action="store_true", help=f"full scale: {full}")
+            (full if opt.key in preset.full else p).add_argument(
+                f"--{opt.key}", type=flag_type, default=opt.default, help="default %(default)s")
+        values = ", ".join(f"{k} = {v}" for k, v in preset.full.items())
+        full.add_argument("--full", action="store_true", help=f"full scale: {values}")
         p.add_argument("--out", default=f"out/{name}", help="default %(default)s")
     return parser
 

@@ -23,7 +23,15 @@ the objective, the ramp's E(c) included.  At large alpha nearly every
 consensus weight rounds to exactly zero; for an objective with a ``floor``
 (an exact lower bound of its energy), the energy layer then evaluates the
 objective only on the rows whose weight can be nonzero, and the consensus
-stays bitwise that of every row's energy.
+layer takes E_min and the weights from those rows alone.
+
+A sum is reduced over the rows it names only where no order of the sum is
+left to choose: a float sum in which at most two terms are nonzero and the
+rest exact zeros is fl(a + b) in any order and grouping (the weighted mean
+of a screened state with at most two nonzero weights per replication), as
+is a row sum of two nonnegative terms (``metrics._row_sums`` at dim <= 2).
+Every other sum is one numpy reduction over the whole array, so the
+consensus stays bitwise that of every row's energy.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ from .errors import (
     NumericDomainError,
     SimulationError,
 )
-from .metrics import MetricsSeries, RecordingPlan, row_blocks, snapshot
+from .metrics import MetricsSeries, RecordingPlan, _row_sums, row_blocks, snapshot
 
 __all__ = [
     "ConstOne",
@@ -324,12 +332,13 @@ def _energies(obj, x, e, step, seeds, blocks):
 
 
 def _screened_energies(obj, x, e, alpha, w, step, seeds, blocks):
-    """The minimum energy per replication of the positions ``x``, from the
-    energies of only those rows that can be the minimum or carry a nonzero
-    weight.  Every row's floor is written into ``e``, one row block of
-    ``blocks`` at a time, and the energies of those rows overwrite their
-    floors; ``w`` (shaped like ``e``) is the weights' workspace.  If a floor
-    is not finite, every row's energy is evaluated (``_energies``).
+    """The flat indices (over ``e.reshape(-1)``) of the rows of the
+    positions ``x`` that can be their replication's minimum or carry a
+    nonzero weight, with their energies written into ``e``; every other
+    row's floor is written there, one row block of ``blocks`` at a time.
+    ``w`` (shaped like ``e``) is the cutoff test's workspace.  If a floor
+    is not finite, no energy is evaluated and None is returned: the caller
+    then evaluates every row (``_energies``).
 
     Let u be the energy of a replication's row of smallest floor.  A row
     with -alpha (floor - u) <= _EXP_ZERO_BELOW has E >= floor > u >= E_min:
@@ -337,7 +346,7 @@ def _screened_energies(obj, x, e, alpha, w, step, seeds, blocks):
     energy, into exactly +0.0.  Each row is evaluated at most once."""
     # every block's floor before the test, like every block's energy
     if any([_eval_rows(obj.floor, x[..., s, :], e, s) is None for s in blocks]):
-        return _energies(obj, x, e, step, seeds, blocks)
+        return None
     n, d = x.shape[-2:]
     xf, ef = x.reshape(-1, d), e.reshape(-1)  # views of the engine's workspace
     first = e.reshape(-1, n).argmin(axis=-1) + np.arange(0, ef.size, n)
@@ -364,7 +373,7 @@ def _screened_energies(obj, x, e, alpha, w, step, seeds, blocks):
             f"objective floor above the energy at particle {i}{rep} at step {step}: "
             "a floor must bound eval"
         )
-    return e.min(axis=-1, keepdims=True)
+    return rows
 
 
 def _weights(energies, emin, alpha, out=None):
@@ -380,6 +389,12 @@ def _weights(energies, emin, alpha, out=None):
     return np.maximum(w, 0.0, out=w)
 
 
+def _weighted_mean(x, w, xw=None):
+    # sum_i w_i x_i / sum_i w_i per replication, ``xw`` an optional buffer
+    # for the weighted positions
+    return np.multiply(x, w[..., None], out=xw).sum(axis=-2) / w.sum(axis=-1)[..., None]
+
+
 def _weighted_consensus(x, energies, emin, alpha, w=None, xw=None):
     # Shifting by the minimum energy leaves the weighted mean exactly
     # invariant and keeps at least one weight equal to 1, so the softmax
@@ -388,8 +403,39 @@ def _weighted_consensus(x, energies, emin, alpha, w=None, xw=None):
     # of the energy-minimizing particles.  ``emin`` is the minimum per
     # replication, ``w`` and ``xw`` optional buffers for the weights and the
     # weighted positions.
-    w = _weights(energies, emin, alpha, out=w)
-    return np.multiply(x, w[..., None], out=xw).sum(axis=-2) / w.sum(axis=-1)[..., None]
+    return _weighted_mean(x, _weights(energies, emin, alpha, out=w), xw)
+
+
+def _screened_consensus(x, e, rows, alpha, w, xw):
+    """The consensus point of a screened state and its count of nonzero
+    weights, from the energies ``e`` of only the evaluated ``rows`` (flat
+    indices from ``_screened_energies``): every other row's weight is
+    exactly +0.0, and its floor lies above its replication's E_min.
+
+    A float sum of terms of which at most two are nonzero and the rest
+    exact zeros is fl(a + b) in any order and grouping, up to the sign of
+    a zero result.  So where each replication has at most two nonzero
+    weights and no component of a weighted sum is zero, the weighted mean
+    is taken over those terms alone, bitwise the whole-array reductions.
+    Otherwise the weights are scattered into ``w``, zero elsewhere, and
+    reduced over every row like a state evaluated in full."""
+    n, d = x.shape[-2:]
+    reps = e.size // n
+    er, rep = e.reshape(-1)[rows], rows // n
+    emin = np.full(reps, np.inf)
+    np.minimum.at(emin, rep, er)
+    wr = _weights(er, emin[rep], alpha)
+    nz = np.flatnonzero(wr)
+    if np.bincount(rep[nz], minlength=reps).max() <= 2:
+        # padded by +0.0: +0.0 + a = a for every nonzero a
+        num, den = np.zeros((reps, d)), np.zeros(reps)
+        np.add.at(num, rep[nz], x.reshape(-1, d)[rows[nz]] * wr[nz, None])
+        if num.all():
+            np.add.at(den, rep[nz], wr[nz])
+            return (num / den[:, None]).reshape(x.shape[:-2] + (d,)), nz.size
+    w.fill(0.0)
+    w.reshape(-1)[rows] = wr
+    return _weighted_mean(x, w, xw), nz.size
 
 
 def consensus_point(x, energies, alpha):
@@ -422,7 +468,7 @@ def _step(x, out, params, c, e, e_c, increments, step, seeds, blocks):
         diff = xb - c
         # overflow to non-finite coordinates is caught by the divergence guard
         with np.errstate(over="ignore", invalid="ignore"):
-            dist = np.sqrt((diff * diff).sum(axis=-1))
+            dist = np.sqrt(_row_sums(diff * diff))
             diff *= params.dt * params.lam
         if e_c is not None:
             diff *= h_eval(params.h_variant, e[..., s] - e_c)[..., None]
@@ -441,20 +487,22 @@ def _step(x, out, params, c, e, e_c, increments, step, seeds, blocks):
 
 # A state is screened (``_screened_energies``) only when it spans more than
 # one row block and at most this share of the previous state's weights is
-# nonzero.  Screening adds some 40 numpy calls per state, which at one
-# block or less cost more than the evaluations they save, most of all when
-# runs share the interpreter lock in the fig-trajectories fan-out (4003 x 2
-# at alpha = 1e15, two runs in two threads: 1.13x the time).  And where
-# most rows pass the floor test, screening costs more than evaluating
-# every row; the test passes many more rows than carry weight.  Rastrigin
-# over 200 steps from N((1, ..), 0.8), 20000 x 1 and 20000 x 2:
-#   alpha = 30: nonzero share >= 0.9998 and >= 0.03: never screened;
-#   alpha = 1e3: 0.06-0.60 (1-D, where 42-99 % of rows pass the test:
-#     never screened) and <= 0.0014 (2-D, 0.2-12 % pass: screened);
-#   alpha = 1e15: about 1e-4 (at most 1.4 % pass): every state after the
-#     first screened.
-# Interleaved against evaluating every row, the run takes 1.02x and 1.01x
-# the time at alpha = 30, 1.00x and 0.71x at 1e3, 0.72x and 0.70x at 1e15.
+# nonzero.  Screening adds some 40 numpy calls per state, which hold the
+# interpreter lock: at one block they cost more than the evaluations they
+# save when runs share the lock in the fig-trajectories fan-out (4003 x 2 at
+# alpha = 1e15, 600 steps, two runs in two threads: 1.19x the time, though
+# 0.68x for one run in one thread).  And where most rows pass the floor
+# test, screening costs more than evaluating every row; the test passes
+# many more rows than carry weight.  Rastrigin over 200 steps (lam = 1,
+# sigma = 0.5, dt = 0.01) from N((1, ..), 0.8), 20000 x 1 and 20000 x 2:
+#   alpha = 30: every weight nonzero: never screened;
+#   alpha = 1e3: nonzero share 0.06-0.60 (1-D: never screened) and
+#     0.003-0.28 (2-D: 68 of 200 states screened, 15-53 % of rows pass);
+#   alpha = 1e15: one nonzero weight (share 5e-5; at most 0.6 % of rows
+#     pass): every state after the first screened.
+# Interleaved against evaluating every row (5 pairs, one CPU, numpy 2.4.6),
+# the run takes 0.95x and 1.00x the time at alpha = 30 (not screened: the
+# spread of the host), 1.02x and 0.96x at 1e3, 0.61x and 0.56x at 1e15.
 _SCREEN_SHARE = 1.0 / 64.0
 
 
@@ -474,8 +522,11 @@ def states(x, obj, params, noise, consensus=None):
     (``metrics.row_blocks``), so ``obj.eval`` must compute each row's
     energy from that row alone.  With a free consensus, ``ConstOne`` and
     an objective with a ``floor``, a state of more than one block after one
-    with few nonzero weights is screened: its floors are written, and only
-    the rows whose weight can be nonzero are evaluated, in one call.  A
+    with few nonzero weights is screened: its floors are written, only the
+    rows whose weight can be nonzero are evaluated, in one call, and its
+    E_min, weights and count of nonzero weights come from those rows; its
+    weighted mean is summed over them alone where each replication has at
+    most two nonzero weights and no weighted sum is zero.  A
     ramp H's E(c) is evaluated just before the step that reads it.  The
     step works in place, in a workspace that lives until the last state,
     and reads each step's increments from ``noise.increments(k, n, dim,
@@ -523,16 +574,22 @@ def states(x, obj, params, noise, consensus=None):
             _step(x, new, params, c, e, e_c, noise.increments(k - 1, n, d, params.dt),
                   k - 1, noise.seeds, blocks)
             x = new
-        if e is not None:
-            emin = (_screened_energies(obj, x, e, params.alpha, w, k, noise.seeds, blocks)
-                    if screen else _energies(obj, x, e, k, noise.seeds, blocks))
-        if free:
-            c = _weighted_consensus(x, e, emin, params.alpha, w, xw)
-            # a weight is never -0.0, so its bits are zero where it is zero,
-            # and counting them is cheaper than counting floats
-            screen = screening and np.count_nonzero(w.view(np.int64)) <= _SCREEN_SHARE * w.size
-        else:
+        # a screened state's evaluated rows; None where every row was evaluated
+        rows = (_screened_energies(obj, x, e, params.alpha, w, k, noise.seeds, blocks)
+                if screen else None)
+        if rows is None and e is not None:
+            emin = _energies(obj, x, e, k, noise.seeds, blocks)
+        if not free:
             c = consensus[k]
+        else:
+            if rows is None:
+                c = _weighted_consensus(x, e, emin, params.alpha, w, xw)
+                # a weight is never -0.0, so its bits are zero where it is
+                # zero, and counting them is cheaper than counting floats
+                nonzero = np.count_nonzero(w.view(np.int64))
+            else:
+                c, nonzero = _screened_consensus(x, e, rows, params.alpha, w, xw)
+            screen = screening and nonzero <= _SCREEN_SHARE * w.size
         if k == params.steps:
             # the last state holds only its positions
             e = w = xw = noise = None

@@ -101,8 +101,23 @@ class MetricsSeries:
         return np.array([getattr(r, name) for r in self.records])
 
 
+def _row_sums(t):
+    """``t.sum(axis=-1)``, bitwise, for terms ``t`` that are each >= +0.0,
+    NaN or inf (numpy's sum starts from +0.0, and +0.0 + a = a for them).
+    At dim <= 2 a row sum has no order to choose: the column itself at dim
+    = 1 (a view of ``t``), one add of the two columns at dim = 2, each
+    cheaper than numpy's general reduction.  A single row (dim,) gives a
+    numpy scalar."""
+    d = t.shape[-1]
+    if d == 1:
+        return t[..., 0][()]  # [()] makes a numpy scalar of a 0-d view
+    if d == 2:
+        return np.add(t[..., 0], t[..., 1])
+    return t.sum(axis=-1)
+
+
 def _sq_rows(d):
-    return (d * d).sum(axis=-1)
+    return _row_sums(d * d)
 
 
 def moment4_stat(x, y=None):
@@ -140,7 +155,7 @@ def snapshot(t, x, vstar, consensus, ball_radii):
         inside = dict.fromkeys(map(float, ball_radii), 0)
 
         def sq_rows(s):
-            sq = np.square(x[s] - vstar).sum(axis=1)
+            sq = _row_sums(np.square(x[s] - vstar))
             dist = np.sqrt(sq)  # bitwise np.linalg.norm(x - vstar, axis=1): ties with r stay put
             for r in inside:
                 inside[r] += int(np.count_nonzero(dist <= r))

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import engine
 from .errors import InvalidInputError
-from .metrics import BLOCK_ROWS, lsq_slope, moment4_stat
+from .metrics import BLOCK_ROWS, _row_sums, lsq_slope, moment4_stat
 
 __all__ = [
     "CouplingRun",
@@ -95,7 +95,7 @@ def _coupled_sups(dist, obj, params, points, seeds):
     sup_m4 = np.zeros(len(seeds))
     for (_, xa, _), (_, xb, _) in coupled:
         gap = xa - xb
-        np.maximum(sup_gap, (gap * gap).sum(axis=-1), out=sup_gap)
+        np.maximum(sup_gap, _row_sums(gap * gap), out=sup_gap)
         np.maximum(sup_m4, moment4_stat(xa, xb), out=sup_m4)
     return sup_gap, sup_m4
 

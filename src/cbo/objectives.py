@@ -28,6 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, InvalidDimensionError
+from .metrics import _row_sums
 
 __all__ = ["ObjectiveSpec", "rastrigin", "quadratic", "by_name"]
 
@@ -82,23 +83,23 @@ def rastrigin(dim):
     holds everywhere, so the inverse-continuity property holds globally with
     eta = 1 and nu = 1/2.  It is also the spec's ``floor``, and exact in
     float64: each term of ``eval`` adds 2.5 (1 - cos) >= 0 to ``v * v``, and
-    both sums reduce the same (rows, dim) shape, so by monotone rounding
-    the floor never exceeds a finite computed energy, and it overflows
-    wherever the energy is not finite.  The Lipschitz constant is taken on
-    [-10, 10] per coordinate and summed over coordinates; the growth
-    constants come from the coordinate-wise bound e(x) <= 6 (1 + x^2),
-    likewise summed.
+    both sums are ``metrics._row_sums`` of the same (rows, dim) shape, in
+    one order of adds, so by monotone rounding the floor never exceeds a
+    finite computed energy, and it overflows wherever the energy is not
+    finite.  The Lipschitz constant is taken on [-10, 10] per coordinate
+    and summed over coordinates; the growth constants come from the
+    coordinate-wise bound e(x) <= 6 (1 + x^2), likewise summed.
     """
     dim = _check_dim(dim)
 
     def _eval(v):
         v = np.asarray(v, dtype=float)
         e = v * v + 2.5 * (1.0 - np.cos(2.0 * np.pi * v))
-        return e.sum(axis=-1)
+        return _row_sums(e)
 
     def _floor(v):
         v = np.asarray(v, dtype=float)
-        return (v * v).sum(axis=-1)
+        return _row_sums(v * v)
 
     minimizer = np.zeros(dim)
     minimizer.setflags(write=False)
@@ -145,7 +146,7 @@ def quadratic(dim, center=None):
     def _eval(v):
         v = np.asarray(v, dtype=float)
         d = v - center
-        return (d * d).sum(axis=-1)
+        return _row_sums(d * d)
 
     cnorm = float(np.linalg.norm(center))
     return ObjectiveSpec(

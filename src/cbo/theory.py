@@ -27,7 +27,7 @@ from .errors import (
     NonContractiveError,
     UnsupportedInitializationError,
 )
-from .metrics import snapshot
+from .metrics import _row_sums, snapshot
 
 __all__ = [
     "find_c",
@@ -128,7 +128,7 @@ def mollifier(v, vstar, r):
         raise InvalidInputError(f"radius must be positive, got {r}")
     v = np.asarray(v, dtype=float)
     diff = v - np.asarray(vstar, dtype=float)
-    s = (diff * diff).sum(axis=-1)
+    s = _row_sums(diff * diff)
     inside = s < r * r
     gap = np.where(inside, r * r - s, 1.0)  # placeholder 1.0 avoids 0-division
     out = np.where(inside, np.exp(1.0 - r * r / gap), 0.0)

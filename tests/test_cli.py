@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import math
 import weakref
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 
 from cbo import cli, engine, mfa
 
-CONFIGS = Path(__file__).resolve().parent.parent / "docs" / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "docs" / "configs"
+BENCH = ROOT / "bench"
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -199,6 +202,30 @@ class TestConfigErrors:
         assert not (tmp_path / "out").exists()
         if named.startswith("mfa."):  # rejected before the reference run starts
             assert started == []
+
+    @pytest.mark.parametrize("route", ["run", "theory", "mfa", "audit"])
+    def test_unknown_top_level_key_exit_2_names_it(self, tmp_path, capsys, monkeypatch, route):
+        # a misspelt block is not dropped: "recordings" would otherwise run
+        # with the default recording
+        monkeypatch.chdir(tmp_path)
+        command, cfg = route_config(route, tmp_path)
+        cfg["recordings"] = {"stride": 5}
+        assert cli.main([*command, write_config(tmp_path, cfg)]) == cli.EXIT_CONFIG
+        assert "recordings: unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_shipped_and_bench_configs_take_listed_top_level_keys(self, tmp_path):
+        spec = importlib.util.spec_from_file_location("workloads", BENCH / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        paths = sorted(CONFIGS.glob("*.json"))
+        for name, workload in workloads.WORKLOADS.items():
+            (tmp_path / name).mkdir()
+            args = workload.prepare(tmp_path / name, 0)
+            paths.append(tmp_path / name / args[-1])
+        assert len(paths) == 6
+        for path in paths:
+            assert isinstance(cli.load_config(path), dict), path
 
     def test_fig_variance_scale_flag_names_key(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -484,6 +511,25 @@ class TestPresets:
         assert code == cli.EXIT_CONFIG
         assert "CBO_THREADS" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("preset, flag, summary", [
+        ("fig-variance", ["--scale", "0.5"], "n_particles = 320000\nscale = 1.0\n"),
+        ("fig-trajectories", ["--n", "100"], "n_particles = 32000\n"),
+    ])
+    def test_full_excludes_the_flags_it_sets(self, tmp_path, capsys, preset, flag, summary):
+        # --full with an explicit value of an option it sets is an error,
+        # in either order, not a silent override; --full alone sets it
+        out = tmp_path / "out"
+        common = ["--runs", "2"] if preset == "fig-trajectories" else []
+        common += ["--steps", "0", "--out", str(out)]
+        for argv in (["--full", *flag], [*flag, "--full"]):
+            with pytest.raises(SystemExit) as exit_:
+                cli.main(["preset", preset, *argv, *common])
+            assert exit_.value.code == cli.EXIT_CONFIG
+            assert "not allowed with argument" in capsys.readouterr().err
+            assert not out.exists()
+        assert cli.main(["preset", preset, "--full", *common]) == 0
+        assert summary in (out / "summary.txt").read_text()
 
     def test_fig_trajectories_needs_two_runs(self, tmp_path):
         code = cli.main([

@@ -632,12 +632,20 @@ def evaluated_per_state(run, rows):
     return out
 
 
+def bits(a):
+    """The bits of a float array, so that -0.0 and +0.0 differ."""
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
 class TestScreening:
     """With a floor, ConstOne and a free consensus, a state of more than one
     row block after one with few nonzero weights evaluates only the rows
-    that can carry weight."""
+    that can carry weight.  Its consensus is reduced over those rows alone
+    when each replication has at most two nonzero weights and no weighted
+    sum is zero, else over every row; both are bitwise the oracle's."""
 
     DIST = engine.GaussianIsotropic((1.0,), 0.8)
+    BATCH_SEEDS = (31, 32, 33)
 
     def run(self, obj, alpha, n=20000, steps=10, seeds=1, consensus=None):
         p = engine.CboParams(lam=1.0, sigma=0.5, alpha=alpha, dt=0.01, steps=steps,
@@ -739,6 +747,85 @@ class TestScreening:
             list(engine.states(x, obj, p, engine.NoiseSource(0)))
         assert "particle 42" in str(err.value) and "step 1" in str(err.value)
 
+    def test_screened_state_with_many_weights_ends_screening(self, monkeypatch):
+        # from state 1 on every energy is 1 (a floor of 0 still bounds it):
+        # screened state 1 evaluates all 300 rows, each of weight 1, so
+        # state 2 is evaluated in full, without floors
+        monkeypatch.setattr(metrics, "BLOCK_ROWS", 64)
+        base, flat, floors = objectives.rastrigin(1), [], []
+        obj = dataclasses.replace(
+            base, eval=lambda v: np.ones(v.shape[:-1]) if flat else base.eval(v),
+            floor=lambda v: floors.append(1) or np.zeros(v.shape[:-1]))
+        x = np.random.default_rng(3).uniform(0.5, 1.0, (300, 1))
+        p = engine.CboParams(lam=0.0, sigma=0.0, alpha=1e15, dt=0.1, steps=3,
+                             n_particles=300, dim=1, seed=0)
+        floor_calls = []
+        for _ in engine.states(x, obj, p, engine.NoiseSource(0)):
+            floor_calls.append(len(floors))
+            flat.append(1)
+        assert floor_calls == [0, 5, 5, 5]  # 5 blocks of 64 rows
+
+    def consensus_paths(self, monkeypatch, x):
+        """The numbers of screened states and of consensus points reduced
+        over every row (state 0's included) in a run from the positions
+        ``x``, (n, 2) or (3, n, 2), with rows far from the best ones drawn
+        around (-2.5, 2.5); positions and consensus are checked bitwise
+        against the oracle's."""
+        monkeypatch.setattr(metrics, "BLOCK_ROWS", 64)  # only a state of blocks is screened
+        screened, full = [], []
+        for name, calls in (("_screened_consensus", screened), ("_weighted_mean", full)):
+            def spy(*args, fn=getattr(engine, name), calls=calls):
+                calls.append(1)
+                return fn(*args)
+            monkeypatch.setattr(engine, name, spy)
+        seeds = self.BATCH_SEEDS if x.ndim == 3 else self.BATCH_SEEDS[0]
+        # lam = sigma = 0: positions stay put, up to the sign of a zero
+        p = engine.CboParams(lam=0.0, sigma=0.0, alpha=1e15, dt=0.1, steps=3,
+                             n_particles=x.shape[-2], dim=2, seed=self.BATCH_SEEDS[0])
+        obj = objectives.rastrigin(2)
+        want = oracle.states(x, obj, p, engine.NoiseSource(seeds))
+        got = engine.states(x, obj, p, engine.NoiseSource(seeds))
+        for (k, xg, c), (_, xw, _, cw) in zip(got, want, strict=True):
+            assert np.array_equal(bits(xg), bits(xw)), k
+            assert np.array_equal(bits(c), bits(cw)), k
+        return len(screened), len(full)
+
+    @staticmethod
+    def far(shape):
+        x = np.random.default_rng(4).uniform(2.0, 3.0, shape + (300, 2))
+        x[..., 0] *= -1.0
+        return x
+
+    def test_two_equal_energies_sum_over_their_rows(self, monkeypatch):
+        # (a, b) and (b, a) have the same Rastrigin energy: two weights of 1
+        x = self.far(())
+        x[[5, 250]] = (0.3, -0.1), (-0.1, 0.3)
+        assert self.consensus_paths(monkeypatch, x) == (3, 1)
+
+    def test_three_nonzero_weights_sum_over_every_row(self, monkeypatch):
+        x = self.far(())
+        x[[5, 120, 250]] = (0.3, -0.1), (-0.1, 0.3), (0.3, -0.1)
+        assert self.consensus_paths(monkeypatch, x) == (3, 4)
+
+    def test_zero_weighted_sum_sums_over_every_row(self, monkeypatch):
+        # the best particle's first coordinate is -0.0, like every other
+        # row's weighted first coordinate: the sign of a zero sum depends on
+        # how numpy starts its reduction, so the state sums over every row
+        x = self.far(())
+        x[42] = (-0.0, 0.05)
+        assert self.consensus_paths(monkeypatch, x) == (3, 4)
+
+    @pytest.mark.parametrize("ties, want", [((1, 2, 1), (3, 1)), ((1, 3, 2), (3, 4))],
+                             ids=["every-replication-sparse", "one-replication-not"])
+    def test_batch_sums_over_every_row_unless_every_replication_can_not(self, monkeypatch,
+                                                                         ties, want):
+        # replication r holds ties[r] rows of the best energy
+        x = self.far((3,))
+        for r, count in enumerate(ties):
+            best = [(0.3, -0.1), (-0.1, 0.3), (0.3, -0.1)][:count]
+            x[r, [7 * r + 1, 100 + r, 290 - r][:count]] = best
+        assert self.consensus_paths(monkeypatch, x) == want
+
 
 class TestFuzzAgainstOracle:
     @settings(max_examples=250, derandomize=True, database=None, deadline=None)
@@ -748,11 +835,12 @@ class TestFuzzAgainstOracle:
         # anywhere in the space of shapes, blocks, alphas, cutoffs and
         # objectives; half the examples are runs whose states after the
         # first can be screened: a free consensus, H = 1, Rastrigin, n >= 64,
-        # alpha >= 1e3 and more than one block
+        # alpha >= 1e3 and more than one block, with ties and zeros in the
+        # best rows
         draw = data.draw
         screenable = draw(st.booleans())
         d = draw(st.integers(1, 10))
-        n = draw(st.integers(64 if screenable else 1, 200))
+        n = draw(st.integers(64, 400) if screenable else st.integers(1, 200))
         reps = draw(st.sampled_from([None, 1, 2, 3]))
         seed = draw(st.integers(0, 2**64 - 1))
         seeds = seed if reps is None else [(seed + r) % 2**64 for r in range(reps)]
@@ -767,6 +855,14 @@ class TestFuzzAgainstOracle:
         obj = draw(st.sampled_from(factories))(d)
         rng = np.random.default_rng(seed)
         x0 = rng.normal(1.0, 10.0 ** draw(st.floats(-1, 1)), ((reps,) if reps else ()) + (n, d))
+        if screenable:
+            # a zero coordinate in a replication's best row, or copies of
+            # it, make screened states sum their consensus over every row
+            for rows in x0.reshape(-1, n, d):
+                best = obj.eval(rows).argmin()
+                if draw(st.booleans()):
+                    rows[best, 0] = 0.0
+                rows[:draw(st.integers(0, 3))] = rows[best]
         consensus = None
         if not screenable and draw(st.booleans()):  # pinned
             consensus = rng.normal(0.0, 1.0, (p.steps + 1, d))

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbo import metrics
 from cbo.errors import InvalidInputError
@@ -15,6 +17,30 @@ def ens(*rows):
 def record(x, vstar=None, radii=()):
     """``snapshot`` of the positions ``x``, with the consensus point at v*."""
     return metrics.snapshot(0.0, x, vstar, vstar, radii)
+
+
+# every kind of float that a square can make or come from: signed zeros,
+# subnormals and squares that underflow, squares that overflow, inf and NaN
+SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, -1e-170, 1e-160, 1e155, -1e200,
+                           math.inf, -math.inf, math.nan, -math.nan])
+
+
+class TestRowSums:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_bitwise_numpy_row_sum_of_squares(self, data):
+        # the terms that every caller sums: each >= +0.0, NaN or inf
+        draw = data.draw
+        d = draw(st.integers(1, 3))
+        shape = draw(st.sampled_from([(), (1,), (5,), (2, 3)])) + (d,)
+        size = math.prod(shape)
+        v = np.array(draw(st.lists(SPECIAL | st.floats(), min_size=size, max_size=size)))
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            t = v.reshape(shape) * v.reshape(shape)
+        got, want = metrics._row_sums(t), t.sum(axis=-1)
+        assert type(got) is type(want)  # a numpy scalar for one point, else an array
+        assert np.asarray(got).shape == want.shape
+        assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
 
 
 class TestVFunctional:
