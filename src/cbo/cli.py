@@ -18,8 +18,8 @@ block, or the top level, does not list, named by its key, or by its block
 where a library type rejects it; ``--full`` with a flag whose option it
 sets; sizes beyond memory, unwritable outputs, a CBO_THREADS that is not a
 positive integer), 3 divergence, 4 theory-precondition failure.
-CBO_THREADS caps the workers of the fig-variance and fig-trajectories
-fan-out; mfa-sweep uses one.
+CBO_THREADS caps the workers of the fig-variance fan-out over runs and
+the fig-trajectories fan-out over seed batches; mfa-sweep uses one.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 from . import engine, mfa, objectives, theory
 from ._parallel import thread_map
 from .errors import CboError, ConfigError, SimulationError, TheoryPreconditionError
-from .metrics import RecordingPlan, default_fit_window, fit_decay_rate
+from .metrics import RecordingPlan, default_fit_window, fit_decay_rate, seed_batches
 
 EXIT_OK = 0
 EXIT_AUDIT_FAILED = 1
@@ -89,6 +89,12 @@ def _json_list(item):
 
 
 _json_vector = _json_list(_json_finite)
+
+
+def _check_seeds(seed, count, name):
+    # the seeds of the runs, seed .. seed + count - 1, before any run starts
+    if seed + count > 2**64:
+        raise ConfigError(f"{name}: the seeds {seed}..{seed + count - 1} exceed 64 bits")
 
 
 def _check_floats(count, name):
@@ -347,6 +353,7 @@ def preset_fig_variance(out_dir, scale, seed, steps, dt=0.01):
     if not 0.0 < scale <= 1.0 or n < 1:
         raise ConfigError(f"fig_variance.scale: must lie in (0, 1] and give "
                           f"N = round({FIG_VARIANCE_FULL_N} * scale) >= 1, got {scale}")
+    _check_seeds(seed, len(FIG_VARIANCE_MEANS), "fig_variance.seed")
     out_dir = Path(out_dir)
     obj = objectives.rastrigin(1)
     plan = RecordingPlan(stride=1, ball_radii=(0.25, 0.5, 1.0))
@@ -422,21 +429,27 @@ def preset_fig_trajectories(out_dir, runs, n, seed, steps, dt=0.01):
     _check_floats(n_total * 2, "fig_trajectories.n")
     # the (runs, steps + 1, tracked agents, 2) trajectories, before any run starts
     _check_floats(runs * (steps + 1) * len(tracked) * 2, "fig_trajectories.runs * (steps + 1)")
+    _check_seeds(seed, runs, "fig_trajectories.seed")
     params = engine.CboParams(
         lam=1.0, sigma=0.1, alpha=1e15, dt=dt, steps=steps,
         n_particles=n_total, dim=2, seed=seed,
     )
 
-    def one_run(r):
-        traj = np.empty((steps + 1, len(tracked), 2))
-        # no reference to state 0 outlives the iterator's own
-        run = engine.states(np.vstack([engine.sample_initial(dist, n, 2, seed + r), tracked]),
-                            obj, params, engine.NoiseSource(seed + r))
+    def run_batch(seeds):
+        traj = np.empty((len(seeds), steps + 1, len(tracked), 2))
+        # each replication's sample with the tracked agents appended; no
+        # reference to state 0 outlives the iterator's own
+        agents = np.broadcast_to(tracked, (len(seeds), *tracked.shape))
+        run = engine.states(np.concatenate([engine.sample_initial(dist, n, 2, seeds), agents],
+                                           axis=1),
+                            obj, params, engine.NoiseSource(seeds))
         for k, x, _ in run:
-            traj[k] = x[n:]
+            traj[:, k] = x[:, n:]
         return traj
 
-    trajs = np.stack(thread_map(one_run, range(runs)))   # (runs, K+1, 3, 2)
+    # the runs step as batches of seeds, (R, n + 3, 2) each, in seed order
+    batches = seed_batches(range(seed, seed + runs), n_total)
+    trajs = np.concatenate(thread_map(run_batch, batches))   # (runs, K+1, 3, 2)
     mean_traj = trajs.mean(axis=0)                       # (K+1, 3, 2)
     times = np.arange(steps + 1) * dt
 
@@ -488,8 +501,7 @@ def run_mfa_sweep(out_dir, cfg, n_values, n_ref, n_seeds, seed0, m_factor):
         raise ConfigError(f"mfa.m_factor: must be > 0, got {m_factor}")
     _check_floats(n_ref * cfg.params.dim, "mfa.n_ref")
     _check_floats(n_seeds * max(n_values), "mfa.n_seeds")  # (n_seeds, n) sups
-    if seed0 + n_seeds > 2**64:
-        raise ConfigError(f"mfa.seed0: the seeds {seed0}..{seed0 + n_seeds - 1} exceed 64 bits")
+    _check_seeds(seed0, n_seeds, "mfa.seed0")
     seeds = range(seed0, seed0 + n_seeds)
     result = mfa.mfa_sweep(cfg.init, cfg.objective, cfg.params, n_values, n_ref, seeds, m_factor)
 

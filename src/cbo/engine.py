@@ -488,10 +488,13 @@ def _step(x, out, params, c, e, e_c, increments, step, seeds, blocks):
 # A state is screened (``_screened_energies``) only when it spans more than
 # one row block and at most this share of the previous state's weights is
 # nonzero.  Screening adds some 40 numpy calls per state, which hold the
-# interpreter lock: at one block they cost more than the evaluations they
-# save when runs share the lock in the fig-trajectories fan-out (4003 x 2 at
-# alpha = 1e15, 600 steps, two runs in two threads: 1.19x the time, though
-# 0.68x for one run in one thread).  And where most rows pass the floor
+# interpreter lock, and a state of one block has few evaluations to save.
+# Screening one-block states too, against this rule (alpha = 1e15, whole
+# preset, medians of 5 alternating pairs, 2 CPUs, numpy 2.4.6): fig-variance
+# at 320 rows took 1.66x the time in two threads and 1.41x pinned to one,
+# at 8000 rows 1.21x and 0.99x; but fig-trajectories --runs 4, whose
+# batches of two runs are 8006 rows, took 0.89x and 0.71x, so a rule on
+# rows, not blocks, may serve both.  And where most rows pass the floor
 # test, screening costs more than evaluating every row; the test passes
 # many more rows than carry weight.  Rastrigin over 200 steps (lam = 1,
 # sigma = 0.5, dt = 0.01) from N((1, ..), 0.8), 20000 x 1 and 20000 x 2:

@@ -27,9 +27,9 @@ __all__ = [
 ]
 
 # Rows (particles, times the replications of a batch) per block of the
-# block-wise passes here and in ``engine``, and particles per system of a
-# batch in ``mfa``: each float array of a block, 64 KiB at d = 1, stays in
-# the L2 cache while the pass runs over it.
+# block-wise passes here and in ``engine``, and rows per batch of runs
+# (``seed_batches``): each float array of a block, 64 KiB at d = 1, stays
+# in the L2 cache while the pass runs over it.
 BLOCK_ROWS = 8192
 
 
@@ -38,6 +38,15 @@ def row_blocks(shape):
     blocks of about ``BLOCK_ROWS`` rows in all."""
     per = max(1, BLOCK_ROWS // math.prod(shape[:-2]))
     return [slice(lo, lo + per) for lo in range(0, shape[-2], per)]
+
+
+def seed_batches(seeds, n):
+    """The seeds of runs of ``n`` particles each, cut in order into batches
+    of at most ``BLOCK_ROWS`` rows, and of one run where a run is larger:
+    each batch steps as one (R, n, dim) ensemble.  Slices of ``seeds``, so
+    a ``range`` stays lazy."""
+    per = max(1, BLOCK_ROWS // n)
+    return [seeds[lo:lo + per] for lo in range(0, len(seeds), per)]
 
 
 def _per_row(f, shape):

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import engine
 from .errors import InvalidInputError
-from .metrics import BLOCK_ROWS, _row_sums, lsq_slope, moment4_stat
+from .metrics import _row_sums, lsq_slope, moment4_stat, seed_batches
 
 __all__ = [
     "CouplingRun",
@@ -108,10 +108,10 @@ def coupled_error(dist, obj, params, ref_traj, seeds, m_threshold):
     reference trajectory entry of the same step.  Replications whose sup of
     the coupled fourth-moment statistic exceeds ``m_threshold`` are counted
     in ``exceed_fraction`` and excluded from the conditional error.  The
-    seeds step in batches of at most ``metrics.BLOCK_ROWS`` particles per
-    system, so a batch's arrays stay small while each numpy call still
-    covers many replications; the result is bitwise that of one seed at a
-    time.
+    seeds step in the batches of ``metrics.seed_batches``, at most
+    ``metrics.BLOCK_ROWS`` particles per system, so a batch's arrays stay
+    small while each numpy call still covers many replications; the result
+    is bitwise that of one seed at a time.
     """
     if len(ref_traj.points) != params.steps + 1:
         raise InvalidInputError(
@@ -121,11 +121,8 @@ def coupled_error(dist, obj, params, ref_traj, seeds, m_threshold):
     seeds = tuple(int(s) for s in seeds)
     if not seeds:
         raise InvalidInputError("need at least one replication seed")
-    per_batch = max(1, BLOCK_ROWS // params.n_particles)
-    batches = [
-        _coupled_sups(dist, obj, params, ref_traj.points, seeds[i:i + per_batch])
-        for i in range(0, len(seeds), per_batch)
-    ]
+    batches = [_coupled_sups(dist, obj, params, ref_traj.points, batch)
+               for batch in seed_batches(seeds, params.n_particles)]
     sups = np.concatenate([gap for gap, _ in batches])          # (n_seeds, n)
     exceeds = np.concatenate([m4 for _, m4 in batches]) > m_threshold
     err_sup = float(sups.mean(axis=0).max())

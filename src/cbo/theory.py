@@ -565,7 +565,7 @@ def mass_decay_audit(dist, obj, params, r, stride=1):
     q = decay_rate_q(params.lam, params.sigma, params.dim, find_c(params.dim), r, b_sup)
     times = np.asarray(times)
     phi = np.asarray(phi)
-    bound = phi[0] * np.exp(-q * times)
+    bound = np.array([mass_lower_bound(phi[0], q, t) for t in times])
     slack = 3.0 * np.sqrt(bound * (1.0 - bound) / params.n_particles)
     margins = phi - (bound - slack)
     return MassAuditResult(

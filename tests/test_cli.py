@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cbo import cli, engine, mfa
+from cbo import cli, engine, metrics
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "docs" / "configs"
@@ -176,15 +176,21 @@ class TestConfigErrors:
         ("mfa", ("mfa", "nref"), 800, "mfa.nref: unknown key"),
         ("audit", ("audit", "maxn"), 20, "audit.maxn: unknown key"),
         ("fig_variance", ("fig_variance", "scales"), 0.5, "fig_variance.scales: unknown key"),
+        # a first seed in range whose runs' seeds pass 64 bits: rejected
+        # before any run starts
+        ("fig_trajectories", ("--seed",), 2**64 - 1,
+         "fig_trajectories.seed: the seeds 18446744073709551615..18446744073709551714 exceed"),
+        ("fig_variance", ("--seed",), 2**64 - 2,
+         "fig_variance.seed: the seeds 18446744073709551614..18446744073709551617 exceed"),
     ])
     def test_bad_value_on_each_route_exit_2_names_key(self, tmp_path, capsys, monkeypatch,
                                                       route, path, value, named):
         # the preset and theory blocks are as strict as the run blocks
         monkeypatch.chdir(tmp_path)
         (tmp_path / "taken").write_text("a file\n")
-        started, reference = [], mfa.reference_consensus_trajectory
-        monkeypatch.setattr(mfa, "reference_consensus_trajectory",
-                            lambda *args: started.append(1) or reference(*args))
+        started, states = [], engine.states
+        monkeypatch.setattr(engine, "states",
+                            lambda *args, **kwargs: started.append(1) or states(*args, **kwargs))
         command, cfg = route_config(route, tmp_path)
         if path[:1] and path[0].startswith("--"):  # a flag on the command line
             argv = ["preset", route.replace("_", "-"), path[0], str(value), "--out", "out"]
@@ -200,7 +206,7 @@ class TestConfigErrors:
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
-        if named.startswith("mfa."):  # rejected before the reference run starts
+        if named.startswith("mfa.") or ": the seeds" in named:  # rejected before any run starts
             assert started == []
 
     @pytest.mark.parametrize("route", ["run", "theory", "mfa", "audit"])
@@ -485,6 +491,7 @@ class TestPresets:
         # a reference to state 0 kept past its step holds a whole ensemble
         # of memory for the rest of each run
         monkeypatch.setenv("CBO_THREADS", "1")
+        monkeypatch.setattr(metrics, "BLOCK_ROWS", 23)  # n + 3 rows: each run a batch of its own
         states, alive = engine.states, []
 
         def spy(x, *args, **kwargs):
@@ -587,6 +594,20 @@ class TestPresets:
             assert cli.main(["preset", "mfa-sweep", path]) == 0
             sweeps[threads] = [(out / f).read_bytes() for f in ("sweep.csv", "summary.txt")]
         assert sweeps["1"] == sweeps["3"]
+
+        # fig-trajectories fans out seed batches: its 5 runs of 23 rows are
+        # one batch, or 2 + 2 + 1 runs at 46 rows a batch
+        args = ["preset", "fig-trajectories", "--runs", "5", "--n", "20", "--steps", "20"]
+        files = ("trajectories.csv", "mean_trajectories.csv", "summary.txt")
+        trajs = []
+        for threads, block in (("1", metrics.BLOCK_ROWS), ("3", metrics.BLOCK_ROWS), ("3", 46)):
+            monkeypatch.setenv("CBO_THREADS", threads)
+            monkeypatch.setattr(metrics, "BLOCK_ROWS", block)
+            out = tmp_path / f"traj{threads}-{block}"
+            assert cli.main(args + ["--out", str(out)]) == 0
+            trajs.append([(out / f).read_bytes() for f in files])
+        assert [len(b) for b in metrics.seed_batches(range(5), 23)] == [2, 2, 1]
+        assert trajs[0] == trajs[1] == trajs[2]
 
 
 class TestChordDeviation:

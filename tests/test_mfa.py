@@ -85,10 +85,10 @@ class TestCoupledError:
         # which systems (a) and (b) are handed the same increments at each
         # step
         p = params(steps=3, n_particles=3000)
-        assert metrics.BLOCK_ROWS // p.n_particles == 2
+        seeds = [42, 43, 44]
+        assert [len(b) for b in metrics.seed_batches(seeds, p.n_particles)] == [2, 1]
         ref = mfa.reference_consensus_trajectory(
             DIST, OBJ, params(steps=3, n_particles=400, seed=3))
-        seeds = [42, 43, 44]
         sups = []
         for s in seeds:
             gap_sup = np.zeros(p.n_particles)
