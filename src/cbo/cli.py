@@ -15,9 +15,11 @@ same block, and ``params`` sets seed, steps and dt):
 Exit codes: 0 success, 1 the laplace audit found violations, 2 config error
 (a missing, mistyped or out-of-range value in any block, or a key that its
 block, or the top level, does not list, named by its key, or by its block
-where a library type rejects it; ``--full`` with a flag whose option it
-sets; sizes beyond memory, unwritable outputs, a CBO_THREADS that is not a
-positive integer), 3 divergence, 4 theory-precondition failure.
+where a library type rejects it; an init vector not of length params.dim;
+``--full`` with a flag whose option it sets; an outputs path under a file:
+all checked before any work starts; sizes beyond memory, a failed write, a
+CBO_THREADS that is not a positive integer), 3 divergence, 4
+theory-precondition failure (such as an eps above the sample's V(0)).
 CBO_THREADS caps the workers of the fig-variance fan-out over runs and
 the fig-trajectories fan-out over seed batches; mfa-sweep uses one.
 """
@@ -109,7 +111,12 @@ def _json_str(value, ctx):
 
 
 def _json_path(value, ctx):
-    return Path(_json_str(value, ctx))
+    # an output directory, made when written: its nearest existing ancestor must be one
+    path = Path(_json_str(value, ctx))
+    ancestor = next(p for p in (path, *path.parents) if p.exists())
+    if not ancestor.is_dir():
+        raise ConfigError(f"{ctx}: cannot write {path}: {ancestor} is not a directory")
+    return path
 
 
 class Opt(NamedTuple):
@@ -229,23 +236,21 @@ class RunConfig:
     init: engine.InitDistribution
     params: engine.CboParams
     recording: RecordingPlan
-    outputs: Optional[Path]
-    preset: Optional[str]
-    raw: dict
 
 
-def parse_run_config(raw, outputs=Path("out")):
-    """The objective/params/init/recording/outputs/preset keys of a config."""
+def parse_run_config(raw):
+    """The objective/params/init/recording keys of a config."""
     v = read_block(raw, "", (
         Opt("objective", parse_objective), Opt("params", parse_params),
         Opt("init", parse_init), Opt("recording", parse_recording, None),
-        Opt("outputs", _json_path, outputs), Opt("preset", _json_str, None),
     ))
-    obj, params = v["objective"], v["params"]
+    obj, params, init = v["objective"], v["params"], v["init"]
     if params.dim != obj.dim:
         raise ConfigError(f"params.dim = {params.dim} does not match objective.dim = {obj.dim}")
-    return RunConfig(obj, v["init"], params, v["recording"] or RecordingPlan(),
-                     v["outputs"], v["preset"], raw)
+    for key, vec in vars(init).items():  # mean, or lo and hi: an entry per coordinate
+        if isinstance(vec, tuple) and len(vec) != params.dim:
+            raise ConfigError(f"init.{key}: {len(vec)} entries, expected params.dim = {params.dim}")
+    return RunConfig(obj, init, params, v["recording"] or RecordingPlan())
 
 
 # ---------------------------------------------------------------------------
@@ -309,17 +314,16 @@ def _fitted_rate(series):
         return None, str(err)
 
 
-def run_simulation(cfg):
+def run_simulation(out_dir, cfg):
     try:
         result = engine.simulate(cfg.init, cfg.objective, cfg.params, cfg.recording)
     except SimulationError as err:
         if err.partial_series is not None:
-            write_metrics_csv(
-                cfg.outputs / "metrics.csv", err.partial_series, cfg.recording.ball_radii
-            )
+            write_metrics_csv(out_dir / "metrics.csv", err.partial_series,
+                              cfg.recording.ball_radii)
         raise
     series = result.series
-    write_metrics_csv(cfg.outputs / "metrics.csv", series, cfg.recording.ball_radii)
+    write_metrics_csv(out_dir / "metrics.csv", series, cfg.recording.ball_radii)
     rate, window = _fitted_rate(series)
     summary = {
         "objective": cfg.objective.name,
@@ -338,7 +342,7 @@ def run_simulation(cfg):
     else:
         summary["fitted_v_decay_rate"] = rate
         summary["fit_window"] = f"[{_fmt(window[0])}, {_fmt(window[1])}]"
-    write_summary(cfg.outputs / "summary.txt", summary)
+    write_summary(out_dir / "summary.txt", summary)
     return EXIT_OK
 
 
@@ -354,7 +358,6 @@ def preset_fig_variance(out_dir, scale, seed, steps, dt=0.01):
         raise ConfigError(f"fig_variance.scale: must lie in (0, 1] and give "
                           f"N = round({FIG_VARIANCE_FULL_N} * scale) >= 1, got {scale}")
     _check_seeds(seed, len(FIG_VARIANCE_MEANS), "fig_variance.seed")
-    out_dir = Path(out_dir)
     obj = objectives.rastrigin(1)
     plan = RecordingPlan(stride=1, ball_radii=(0.25, 0.5, 1.0))
     base = engine.CboParams(lam=1.0, sigma=0.5, alpha=1e15, dt=dt, steps=steps,
@@ -421,7 +424,6 @@ def preset_fig_trajectories(out_dir, runs, n, seed, steps, dt=0.01):
     """Mean trajectories of three tracked agents on the 2-D Rastrigin
     objective, averaged over ``runs`` >= 2 repeated runs; the tracked agents
     join the ensemble and participate in the dynamics."""
-    out_dir = Path(out_dir)
     obj = objectives.rastrigin(2)
     dist = engine.GaussianIsotropic(FIG_TRAJ_MEAN, FIG_TRAJ_VAR)
     tracked = np.asarray(FIG_TRAJ_TRACKED, dtype=float)
@@ -484,7 +486,7 @@ def preset_fig_trajectories(out_dir, runs, n, seed, steps, dt=0.01):
 
 
 # ---------------------------------------------------------------------------
-# presets that read a JSON config: mfa-sweep, laplace-audit
+# routes that read a JSON config: mfa-sweep, laplace-audit, theory
 
 
 def run_mfa_sweep(out_dir, cfg, n_values, n_ref, n_seeds, seed0, m_factor):
@@ -505,7 +507,6 @@ def run_mfa_sweep(out_dir, cfg, n_values, n_ref, n_seeds, seed0, m_factor):
     seeds = range(seed0, seed0 + n_seeds)
     result = mfa.mfa_sweep(cfg.init, cfg.objective, cfg.params, n_values, n_ref, seeds, m_factor)
 
-    out_dir = Path(out_dir)
     _write_csv(
         out_dir / "sweep.csv",
         ["n", "err_sup", "err_sup_conditional", "exceed_fraction", "seeds"],
@@ -530,7 +531,7 @@ def run_laplace_audit(out_dir, measures, seed, max_n, min_inside):
     _check_floats(max_n * 3, "audit.max_n")  # up to (max_n, 3) points per measure
     result = theory.laplace_audit(n_measures=measures, seed=seed, max_n=max_n,
                                   min_inside=min_inside)
-    print(write_summary(Path(out_dir) / "report.txt", {
+    print(write_summary(out_dir / "report.txt", {
         "preset": "laplace-audit",
         "checked": result.checked,
         "violations": result.violations,
@@ -541,12 +542,43 @@ def run_laplace_audit(out_dir, measures, seed, max_n, min_inside):
     return EXIT_OK if result.violations == 0 else EXIT_AUDIT_FAILED
 
 
+def run_theory(out_dir, cfg, eps, tau, r, b_bound, q_laplace, sample_n):
+    """The closed-form theory report of run config ``cfg``, printed and, with
+    ``out_dir``, written; sample_n defaults to params.n_particles."""
+    obj, params = cfg.objective, cfg.params
+    if not tau < 1.0:
+        raise ConfigError(f"theory.tau: must lie in [0, 1), got {tau}")
+    for key, value in (("eps", eps), ("r", r), ("q_laplace", q_laplace)):
+        if value is not None and not value > 0:
+            raise ConfigError(f"theory.{key}: must be > 0, got {value}")
+    sample_n = params.n_particles if sample_n is None else sample_n
+    _check_floats(sample_n * params.dim, "theory.sample_n")
+    x0 = engine.sample_initial(cfg.init, sample_n, params.dim, params.seed)
+    report = theory.build_theory_report(obj, params, x0, eps=eps, tau=tau, r=r,
+                                        b_bound=b_bound, q_laplace=q_laplace)
+    wp = report.wellprep
+    items = {
+        "objective": obj.name, "dim": obj.dim, "c": report.c,
+        "q": "infinite (sigma=0)" if report.q_rate is None else report.q_rate,
+        "t_star": report.t_star,
+        "alpha0": "undefined (see notes)" if report.alpha0 is None else report.alpha0,
+        "b1": report.b1, "b2": report.b2, "laplace_rhs": report.laplace_rhs,
+        "wellprep_cond1": f"{_fmt(wp.cond1)} (margin = {_fmt(wp.margin1)})",
+        "wellprep_cond2": f"{_fmt(wp.cond2)} (margin = {_fmt(wp.margin2)})",
+        "var_concentration_margin": wp.var_bound_margin,
+    }
+    notes = [("note", note) for note in report.notes]
+    path = None if out_dir is None else out_dir / "theory.txt"
+    print(write_summary(path, [*items.items(), *notes]), end="")
+    return EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # preset registry
 
 
 class Preset(NamedTuple):
-    """A preset's function and the spec of the options in its JSON ``block``.
+    """A route's function and the spec of the options in its JSON ``block``.
     A preset with ``flags`` takes both on the command line, where ``--full``
     sets ``full``, and through ``cbo run`` ``params`` sets the flags and dt.
     One without reads a JSON config; ``run_config`` passes it the run config."""
@@ -587,49 +619,15 @@ PRESETS = {  # by JSON name; the command line spells "_" as "-"
 }
 
 
+THEORY = Preset(run_theory, "theory", (  # cbo theory
+    Opt("eps", _json_finite, 0.01), Opt("tau", _json_finite, 0.1, lo=0.0),
+    Opt("r", _json_finite, None), Opt("b_bound", _json_finite, None, lo=0.0),
+    Opt("q_laplace", _json_finite, None), Opt("sample_n", _json_int, None, lo=1),
+), run_config=True)
+
 # every top-level key of a config that some route reads
-_TOP_LEVEL_KEYS = ("objective", "init", "params", "recording", "outputs", "preset", "theory",
-                   *(preset.block for preset in PRESETS.values()))
-
-
-# ---------------------------------------------------------------------------
-# theory report
-
-
-def run_theory(cfg):
-    obj, params = cfg.objective, cfg.params
-    t = read_block(cfg.raw.get("theory", {}), "theory", (
-        Opt("eps", _json_finite, 0.01), Opt("tau", _json_finite, 0.1, lo=0.0),
-        Opt("r", _json_finite, None), Opt("b_bound", _json_finite, None, lo=0.0),
-        Opt("q_laplace", _json_finite, None), Opt("sample_n", _json_int, None, lo=1),
-    ))
-    if not t["tau"] < 1.0:
-        raise ConfigError(f"theory.tau: must lie in [0, 1), got {t['tau']}")
-    for key in ("r", "q_laplace"):
-        if t[key] is not None and not t[key] > 0:
-            raise ConfigError(f"theory.{key}: must be > 0, got {t[key]}")
-    sample_n = params.n_particles if t["sample_n"] is None else t["sample_n"]
-    _check_floats(sample_n * params.dim, "theory.sample_n")
-    x0 = engine.sample_initial(cfg.init, sample_n, params.dim, params.seed)
-    report = theory.build_theory_report(
-        obj, params, x0, eps=t["eps"], tau=t["tau"],
-        r=t["r"], b_bound=t["b_bound"], q_laplace=t["q_laplace"],
-    )
-    wp = report.wellprep
-    items = {
-        "objective": obj.name, "dim": obj.dim, "c": report.c,
-        "q": "infinite (sigma=0)" if report.q_rate is None else report.q_rate,
-        "t_star": report.t_star,
-        "alpha0": "undefined (see notes)" if report.alpha0 is None else report.alpha0,
-        "b1": report.b1, "b2": report.b2, "laplace_rhs": report.laplace_rhs,
-        "wellprep_cond1": f"{_fmt(wp.cond1)} (margin = {_fmt(wp.margin1)})",
-        "wellprep_cond2": f"{_fmt(wp.cond2)} (margin = {_fmt(wp.margin2)})",
-        "var_concentration_margin": wp.var_bound_margin,
-    }
-    notes = [("note", note) for note in report.notes]
-    path = None if cfg.outputs is None else cfg.outputs / "theory.txt"
-    print(write_summary(path, [*items.items(), *notes]), end="")
-    return EXIT_OK
+_TOP_LEVEL_KEYS = ("objective", "init", "params", "recording", "outputs", "preset",
+                   *(route.block for route in (*PRESETS.values(), THEORY)))
 
 
 # ---------------------------------------------------------------------------
@@ -668,33 +666,34 @@ def _build_parser():
 
 
 def _dispatch(args):
-    name = getattr(args, "preset", "").replace("-", "_")
-    if name and PRESETS[name].flags:
-        preset = PRESETS[name]
-        opts = preset.options + preset.flags
-        flags = {**vars(args), **(preset.full if args.full else {})}
-        values = read_block({o.key: flags[o.key] for o in opts}, preset.block, opts)
-        return preset.run(Path(args.out), **values)
-    raw = load_config(args.config)
-    if args.command == "theory":
-        return run_theory(parse_run_config(raw, outputs=None))
-    if args.command == "run":
-        cfg = parse_run_config(raw)
-        if cfg.preset is None:
-            return run_simulation(cfg)
-        if cfg.preset not in PRESETS:
-            raise ConfigError(f"preset: unknown preset {cfg.preset!r}")
-        name, out_dir = cfg.preset, cfg.outputs
+    """Run the route of ``args``, reading its own top-level keys once each:
+    ``outputs`` (or ``--out``), ``preset`` on ``cbo run``, and its block."""
+    command, name = args.command, getattr(args, "preset", "").replace("-", "_")
+    flagged = command == "preset" and bool(PRESETS[name].flags)
+    if flagged:  # the command line holds the outputs and the block
+        opts = PRESETS[name].options + PRESETS[name].flags
+        flags = {**vars(args), **(PRESETS[name].full if args.full else {})}
+        raw = {"outputs": args.out, PRESETS[name].block: {o.key: flags[o.key] for o in opts}}
     else:
-        out_dir = read_block(raw, "", (Opt("outputs", _json_path, Path("out", name)),))["outputs"]
-        cfg = parse_run_config(raw, out_dir) if PRESETS[name].run_config else None
-    preset = PRESETS[name]
-    values = read_block(raw.get(preset.block, {}), preset.block, preset.options)
-    if preset.flags:  # a run config sets them, and dt, through params
+        raw = load_config(args.config)
+    out = {"run": "out", "theory": None}.get(command, f"out/{name}")
+    if isinstance(raw, dict):  # a default path is checked like a given one
+        raw = {"outputs": out, **raw}
+    top = (Opt("outputs", _json_path, out), Opt("preset", _json_str, None))
+    v = read_block(raw, "", top if command == "run" else top[:1])
+    if v.get("preset") not in (None, *PRESETS):
+        raise ConfigError(f"preset: unknown preset {v['preset']!r}")
+    preset = THEORY if command == "theory" else PRESETS.get(v.get("preset", name))
+    cfg = None if command == "preset" and not preset.run_config else parse_run_config(raw)
+    if preset is None:
+        return run_simulation(v["outputs"], cfg)
+    values = read_block(raw.get(preset.block, {}), preset.block,
+                        preset.options + (preset.flags if flagged else ()))
+    if preset.flags and not flagged:  # a run config sets them, and dt, through params
         values.update({o.key: getattr(cfg.params, o.key) for o in preset.flags}, dt=cfg.params.dt)
     if preset.run_config:
         values["cfg"] = cfg
-    return preset.run(out_dir, **values)
+    return preset.run(v["outputs"], **values)
 
 
 def main(argv=None):

@@ -106,7 +106,9 @@ def h_eval(variant, x):
     if isinstance(variant, ConstOne):
         out = np.ones_like(x)
     elif isinstance(variant, RampHeaviside):
-        out = np.where(x >= 0.0, 1.0, np.maximum(0.0, 1.0 + x / variant.delta))
+        # x / delta may overflow to -inf for a tiny delta, where the ramp is 0
+        with np.errstate(over="ignore"):
+            out = np.where(x >= 0.0, 1.0, np.maximum(0.0, 1.0 + x / variant.delta))
     else:
         raise ConfigError(f"unknown H variant {variant!r}")
     return float(out) if out.ndim == 0 else out

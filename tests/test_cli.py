@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cbo import cli, engine, metrics
+from cbo import cli, engine, metrics, theory
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "docs" / "configs"
@@ -182,18 +182,35 @@ class TestConfigErrors:
          "fig_trajectories.seed: the seeds 18446744073709551615..18446744073709551714 exceed"),
         ("fig_variance", ("--seed",), 2**64 - 2,
          "fig_variance.seed: the seeds 18446744073709551614..18446744073709551617 exceed"),
+        # an init vector whose length is not params.dim, named by its key
+        *((route, ("init", "mean"), [1.0, 2.0], "init.mean: 2 entries, expected params.dim = 1")
+          for route in ("run", "theory", "mfa")),
+        ("run", ("init",), {"kind": "uniform", "lo": [0.0, 0.0], "hi": [1.0, 1.0]},
+         "init.lo: 2 entries"),
+        ("run", ("init",), {"kind": "uniform", "lo": [0.0], "hi": [1.0, 1.0]},
+         "init.hi: 2 entries"),
+        # eps <= 0 is out of range whatever the sample; eps > V(0) is exit 4
+        ("theory", ("theory", "eps"), 0, "theory.eps: must be > 0, got 0.0"),
+        ("theory", ("theory", "eps"), -1, "theory.eps: must be > 0, got -1.0"),
+        # an output directory below a file, found before the runs, not after
+        *((route, ("--out",), "taken/x", "outputs: cannot write taken/x")
+          for route in ("fig_variance", "fig_trajectories")),
     ])
     def test_bad_value_on_each_route_exit_2_names_key(self, tmp_path, capsys, monkeypatch,
                                                       route, path, value, named):
-        # the preset and theory blocks are as strict as the run blocks
+        # the preset and theory blocks are as strict as the run blocks, and
+        # every bad value is rejected before any work starts
         monkeypatch.chdir(tmp_path)
         (tmp_path / "taken").write_text("a file\n")
-        started, states = [], engine.states
-        monkeypatch.setattr(engine, "states",
-                            lambda *args, **kwargs: started.append(1) or states(*args, **kwargs))
+        started = []
+        for module, name in ((engine, "states"), (engine, "sample_initial"),
+                             (theory, "laplace_audit")):
+            work = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, work=work, name=name, **kwargs:
+                                started.append(name) or work(*args, **kwargs))
         command, cfg = route_config(route, tmp_path)
-        if path[:1] and path[0].startswith("--"):  # a flag on the command line
-            argv = ["preset", route.replace("_", "-"), path[0], str(value), "--out", "out"]
+        if path[:1] and path[0].startswith("--"):  # a flag on the command line, the last wins
+            argv = ["preset", route.replace("_", "-"), "--out", "out", path[0], str(value)]
         else:
             if path:
                 parent = cfg
@@ -206,8 +223,7 @@ class TestConfigErrors:
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
-        if named.startswith("mfa.") or ": the seeds" in named:  # rejected before any run starts
-            assert started == []
+        assert started == []
 
     @pytest.mark.parametrize("route", ["run", "theory", "mfa", "audit"])
     def test_unknown_top_level_key_exit_2_names_it(self, tmp_path, capsys, monkeypatch, route):
@@ -232,6 +248,20 @@ class TestConfigErrors:
         assert len(paths) == 6
         for path in paths:
             assert isinstance(cli.load_config(path), dict), path
+
+    @pytest.mark.parametrize("route", ["run", "mfa", "fig_variance"])
+    def test_default_outputs_under_a_file_exit_2_before_any_run(self, tmp_path, capsys,
+                                                                 monkeypatch, route):
+        # the default outputs, out or out/<preset>, are checked like a given path
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out").write_text("a file\n")
+        monkeypatch.setattr(engine, "sample_initial", None)  # a run would fail on it
+        command, cfg = route_config(route, tmp_path)
+        del cfg["outputs"]
+        argv = ["preset", "fig-variance"] if route == "fig_variance" else [
+            *command, write_config(tmp_path, cfg)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert "outputs: cannot write out" in capsys.readouterr().err
 
     def test_fig_variance_scale_flag_names_key(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -365,6 +395,9 @@ class TestRun:
     def test_ramp_h_variant_from_config(self, tmp_path):
         cfg = base_config(tmp_path)
         cfg["params"]["h"] = {"kind": "ramp_heaviside", "delta": 0.5}
+        assert cli.main(["run", write_config(tmp_path, cfg)]) == 0
+        # a delta so small that gap / delta overflows: exact, and no warning
+        cfg["params"]["h"] = {"kind": "ramp_heaviside", "delta": 1e-320}
         assert cli.main(["run", write_config(tmp_path, cfg)]) == 0
         cfg["params"]["h"] = {"kind": "ramp_heaviside"}  # missing delta
         assert cli.main(["run", write_config(tmp_path, cfg)]) == cli.EXIT_CONFIG

@@ -39,6 +39,11 @@ class TestHEval:
         assert engine.h_eval(engine.RampHeaviside(0.5), -0.25) == 0.5
         assert engine.h_eval(engine.RampHeaviside(0.5), -10.0) == 0.0
 
+    def test_ramp_with_tiny_delta_is_exact_without_warning(self):
+        # x / delta overflows to -inf; the ramp there is 0, and no warning
+        h = engine.h_eval(engine.RampHeaviside(1e-300), [-1e10, 0.5])
+        assert h.tolist() == [0.0, 1.0]
+
     def test_ramp_is_lipschitz_with_slope_1_over_delta(self):
         variant = engine.RampHeaviside(0.25)
         x = np.linspace(-2, 2, 4001)
