@@ -10,8 +10,8 @@ The update for agent i with step size dt reads
 where ``c`` is the consensus point frozen from the step's input snapshot and
 ``B_i ~ N(0, dt * I_d)``.  Gaussian increments for step k are a pure
 function of (seed, k, particle row) via counter-based Philox streams, so
-runs are deterministic and independent of particle update order or thread
-count.
+runs are deterministic and independent of particle update order, block
+size or thread count; the step draws them one row block at a time.
 
 Positions may carry a leading replication axis, (R, n, d): every reduction
 runs over the particle axis, so a batch of R independent runs steps as one
@@ -212,43 +212,54 @@ def _seed_tuple(seeds):
 
 
 class NoiseSource:
-    """Deterministic N(0, dt I) increments: (n, dim) per step for an int
-    seed, (R, n, dim) for a sequence of R seeds, whose row r is bitwise the
-    draw of ``NoiseSource(seeds[r])``.
+    """Deterministic N(0, dt I) increments of a step's particle rows: (rows,
+    dim) for an int seed, (R, rows, dim) for a sequence of R seeds, whose
+    row r is bitwise the draw of ``NoiseSource(seeds[r])``.
 
     Each step owns a disjoint Philox counter block, so any step's increments
-    can be drawn in any order without replaying the stream.  The source
-    owns one buffer: a call for another step than the one drawn last draws
-    into it, overwriting the previous draw, and a new buffer is made only
-    when (n, dim) changes; a repeated call returns that step's array without
-    drawing again.  So iterators that step the same runs in lockstep share
-    each step's draw and one buffer for the whole run.  An instance has
-    state, so do not share it between threads.
+    can be drawn in any order without replaying the stream.  Each seed has
+    its own generator, and a step's rows are drawn in order: a request for
+    the rows after the ones drawn last continues each seed's stream, bitwise
+    the whole step's draw, and any other request rewinds to the step's start
+    and passes over the rows before its own.  A repeated request returns the
+    array it returned without drawing again, so iterators that step the same
+    runs in lockstep, one block a step, share each draw.  Every draw goes
+    into one buffer, made anew only for a block larger than any before or
+    another dim.  An instance has state, so do not share it between threads.
     """
 
     def __init__(self, seeds):
         self.seeds, self.shape = _seed_tuple(seeds)
-        # each draw sets the key and counter of a fresh generator's state
-        self._bitgen = np.random.Philox(0)
-        self._gen = np.random.Generator(self._bitgen)
-        self._state = self._bitgen.state
-        self._drawn = self._buf = None
+        # the key is set once: starting a step loads the seed's fresh state
+        # (counter 0, buffer empty) with the step in the counter's top word
+        self._gens = []
+        for seed in self.seeds:
+            bitgen = np.random.Philox(key=np.array([seed, _DYNAMICS_TAG], dtype=np.uint64))
+            self._gens.append((bitgen, np.random.Generator(bitgen), bitgen.state))
+        self._buf = self._at = None
+        self._last = (None, None)  # the key of the request served last, and its array
 
-    def increments(self, step, n, dim, dt):
-        """The increments of the given step, ``self.shape + (n, dim)``, valid
-        until the next call for another step."""
-        if self._drawn != (step, n, dim, dt):
-            if self._buf is None or self._buf.shape[-2:] != (n, dim):
-                self._buf = np.empty(self.shape + (n, dim))
-            state = self._state["state"]
-            state["counter"][:] = (0, 0, 0, step)
-            for seed, row in zip(self.seeds, self._buf if self.shape else (self._buf,)):
-                state["key"][:] = (seed, _DYNAMICS_TAG)
-                self._bitgen.state = self._state
-                self._gen.standard_normal(out=row)
-            self._buf *= math.sqrt(dt)
-            self._drawn = (step, n, dim, dt)
-        return self._buf
+    def increments(self, step, rows, dim, dt):
+        """The increments of particle rows ``rows`` (a slice ``lo:hi``) of
+        the given step, ``self.shape + (hi - lo, dim)``: a view of the
+        source's buffer, valid until the next request."""
+        lo, hi = rows.start, rows.stop
+        if self._last[0] == (step, lo, hi, dim, dt):
+            return self._last[1]
+        if self._buf is None or self._buf.shape[-1] != dim or self._buf.shape[-2] < hi - lo:
+            self._buf = np.empty(self.shape + (hi - lo, dim))
+        out = self._buf[..., :hi - lo, :]
+        rewind = self._at != (step, dim, lo)
+        for (bitgen, gen, state), row in zip(self._gens, out if self.shape else (out,)):
+            if rewind:
+                state["state"]["counter"][3] = step
+                bitgen.state = state
+                for skip in range(0, lo * dim, row.size):  # pass over the rows before lo
+                    gen.standard_normal(out=row.reshape(-1)[:lo * dim - skip])
+            gen.standard_normal(out=row)
+        out *= math.sqrt(dt)
+        self._at, self._last = (step, dim, hi), ((step, lo, hi, dim, dt), out)
+        return out
 
 
 def sample_initial(dist, n, dim, seeds):
@@ -391,24 +402,23 @@ def _weights(energies, emin, alpha, out=None):
     return np.maximum(w, 0.0, out=w)
 
 
-def _weighted_mean(x, w, xw=None):
-    # sum_i w_i x_i / sum_i w_i per replication, ``xw`` an optional buffer
-    # for the weighted positions
-    return np.multiply(x, w[..., None], out=xw).sum(axis=-2) / w.sum(axis=-1)[..., None]
+def _weighted_mean(x, w):
+    # sum_i w_i x_i / sum_i w_i per replication; the weighted positions are
+    # a temporary of this call alone
+    return (x * w[..., None]).sum(axis=-2) / w.sum(axis=-1)[..., None]
 
 
-def _weighted_consensus(x, energies, emin, alpha, w=None, xw=None):
+def _weighted_consensus(x, energies, emin, alpha, w=None):
     # Shifting by the minimum energy leaves the weighted mean exactly
     # invariant and keeps at least one weight equal to 1, so the softmax
     # never underflows to an empty sum even for alpha ~ 1e15.  If every
     # non-minimal weight underflows, this degrades gracefully to the mean
     # of the energy-minimizing particles.  ``emin`` is the minimum per
-    # replication, ``w`` and ``xw`` optional buffers for the weights and the
-    # weighted positions.
-    return _weighted_mean(x, _weights(energies, emin, alpha, out=w), xw)
+    # replication, ``w`` an optional buffer for the weights.
+    return _weighted_mean(x, _weights(energies, emin, alpha, out=w))
 
 
-def _screened_consensus(x, e, rows, alpha, w, xw):
+def _screened_consensus(x, e, rows, alpha, w):
     """The consensus point of a screened state and its count of nonzero
     weights, from the energies ``e`` of only the evaluated ``rows`` (flat
     indices from ``_screened_energies``): every other row's weight is
@@ -437,7 +447,7 @@ def _screened_consensus(x, e, rows, alpha, w, xw):
             return (num / den[:, None]).reshape(x.shape[:-2] + (d,)), nz.size
     w.fill(0.0)
     w.reshape(-1)[rows] = wr
-    return _weighted_mean(x, w, xw), nz.size
+    return _weighted_mean(x, w), nz.size
 
 
 def consensus_point(x, energies, alpha):
@@ -449,17 +459,18 @@ def consensus_point(x, energies, alpha):
     return _weighted_consensus(x, energies, energies.min(axis=-1, keepdims=True), float(alpha))
 
 
-def _step(x, out, params, c, e, e_c, increments, step, seeds, blocks):
+def _step(x, out, params, c, e, e_c, noise, step, blocks):
     """Write the positions of state ``step + 1`` into ``out`` (which may be
     ``x`` itself) from the positions ``x`` of state ``step`` and its
     consensus point ``c`` ((dim,), or (R, dim) per replication of a batch).
     For H other than ConstOne it reads the energies ``e`` of the state and
     ``e_c`` of its consensus point; ``e_c`` is None for ConstOne.
 
-    The update runs one row block of ``blocks`` at a time.  Every row is
-    computed as a whole-array step would compute it, so the result does not
-    depend on the block size; errors name the first failing particle of the
-    whole array.
+    The update runs one row block of ``blocks`` at a time, and draws each
+    block's increments from ``noise`` just before it reads them.  Every row
+    is computed as a whole-array step would compute it, so the result does
+    not depend on the block size; errors name the first failing particle of
+    the whole array.
     """
     c = c[..., None, :]  # broadcasts over the particle axis
     diverged = False
@@ -477,10 +488,11 @@ def _step(x, out, params, c, e, e_c, increments, step, seeds, blocks):
         with np.errstate(over="ignore", invalid="ignore"):
             np.subtract(xb, diff, out=new)
             dist *= params.sigma
-            new += np.multiply(dist[..., None], increments[..., s, :], out=diff)
+            inc = noise.increments(step, s, x.shape[-1], params.dt)
+            new += np.multiply(dist[..., None], inc, out=diff)
         diverged |= not np.isfinite(new).all()
     if diverged:
-        i, seed, rep = _locate(~np.isfinite(out).all(axis=-1), seeds)
+        i, seed, rep = _locate(~np.isfinite(out).all(axis=-1), noise.seeds)
         raise DivergenceError(
             f"non-finite coordinates of particle {i}{rep} after step {step}",
             step=step, particle=i, seed=seed,
@@ -532,33 +544,32 @@ def states(x, obj, params, noise, consensus=None):
     E_min, weights and count of nonzero weights come from those rows; its
     weighted mean is summed over them alone where each replication has at
     most two nonzero weights and no weighted sum is zero.  A
-    ramp H's E(c) is evaluated just before the step that reads it.  The
-    step works in place, in a workspace that lives until the last state,
-    and reads each step's increments from ``noise.increments(k, n, dim,
-    dt)``, the source's one buffer (two iterators stepping one
-    ``NoiseSource`` in lockstep share it).  So the yielded positions stay
-    valid only until the iterator is resumed; copy them to keep them, and
-    do not modify them.  State 0 is the caller's array, never written and
-    let go of after the first step.  A yielded consensus is a new array (or
-    the pinned entry) each state.  ``noise`` holds generator state, so a
-    run in each thread needs its own."""
+    ramp H's E(c) is evaluated just before the step that reads it.
+
+    Of the ensemble's size, a state carries only its positions, energies
+    and weights; the consensus makes the weighted positions as a temporary.
+    The step works in place, in a workspace that lives until the last
+    state, and draws each row block's increments just before it reads them,
+    from ``noise.increments(k, rows, dim, dt)`` (two iterators stepping one
+    ``NoiseSource`` in lockstep, one block a step, share each draw).  So
+    the yielded positions stay valid only until the iterator is resumed;
+    copy them to keep them, and do not modify them.  State 0 is the
+    caller's array, never written and let go of after the first step.  A
+    yielded consensus is a new array (or the pinned entry) each state.
+    ``noise`` holds generator state, so a run in each thread needs its own."""
     x = np.asarray(x, dtype=float)
     if x.ndim != len(noise.shape) + 2 or x.shape[:-2] != noise.shape or 0 in x.shape[:-1]:
         want = f"(R, n, dim) for R = {len(noise.seeds)} seeds" if noise.shape else "(n, dim)"
         raise ConfigError(f"positions must be {want}, with n, R >= 1, got shape {x.shape}")
-    n, d = x.shape[-2:]
-    if obj.dim != d:
-        raise ConfigError(f"objective dim {obj.dim} != ensemble dim {d}")
+    if obj.dim != x.shape[-1]:
+        raise ConfigError(f"objective dim {obj.dim} != ensemble dim {x.shape[-1]}")
     blocks = row_blocks(x.shape)
     free = consensus is None
     if not free:
         consensus = np.asarray(consensus, dtype=float)
     const_one = isinstance(params.h_variant, ConstOne)
-    e = w = xw = None
-    if free or not const_one:
-        e = np.empty(x.shape[:-1])
-    if free:  # the weights and the weighted positions
-        w, xw = np.empty(x.shape[:-1]), np.empty(x.shape)
+    e = np.empty(x.shape[:-1]) if free or not const_one else None
+    w = np.empty(x.shape[:-1]) if free else None  # the weights
     screening = free and const_one and obj.floor is not None and len(blocks) > 1
     screen = False  # state 0 is evaluated in full
     for k in range(params.steps + 1):
@@ -576,8 +587,7 @@ def states(x, obj, params, noise, consensus=None):
             # the workspace from the first step on; the caller's state 0
             # stays as it is
             new = np.empty(x.shape) if k == 1 else x
-            _step(x, new, params, c, e, e_c, noise.increments(k - 1, n, d, params.dt),
-                  k - 1, noise.seeds, blocks)
+            _step(x, new, params, c, e, e_c, noise, k - 1, blocks)
             x = new
         # a screened state's evaluated rows; None where every row was evaluated
         rows = (_screened_energies(obj, x, e, params.alpha, w, k, noise.seeds, blocks)
@@ -588,16 +598,16 @@ def states(x, obj, params, noise, consensus=None):
             c = consensus[k]
         else:
             if rows is None:
-                c = _weighted_consensus(x, e, emin, params.alpha, w, xw)
+                c = _weighted_consensus(x, e, emin, params.alpha, w)
                 # a weight is never -0.0, so its bits are zero where it is
                 # zero, and counting them is cheaper than counting floats
                 nonzero = np.count_nonzero(w.view(np.int64))
             else:
-                c, nonzero = _screened_consensus(x, e, rows, params.alpha, w, xw)
+                c, nonzero = _screened_consensus(x, e, rows, params.alpha, w)
             screen = screening and nonzero <= _SCREEN_SHARE * w.size
         if k == params.steps:
             # the last state holds only its positions
-            e = w = xw = noise = None
+            e = w = noise = None
         yield k, x, c
 
 

@@ -35,9 +35,11 @@ BLOCK_ROWS = 8192
 
 def row_blocks(shape):
     """Slices of the particle axis of an (n, dim) or (R, n, dim) shape into
-    blocks of about ``BLOCK_ROWS`` rows in all."""
+    blocks of about ``BLOCK_ROWS`` rows in all, the last one ending at the
+    last row."""
+    n = shape[-2]
     per = max(1, BLOCK_ROWS // math.prod(shape[:-2]))
-    return [slice(lo, lo + per) for lo in range(0, shape[-2], per)]
+    return [slice(lo, min(lo + per, n)) for lo in range(0, n, per)]
 
 
 def seed_batches(seeds, n):

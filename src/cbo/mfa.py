@@ -84,7 +84,7 @@ def _coupled_sups(dist, obj, params, points, seeds):
     statistic, (R,)."""
     init = engine.sample_initial(dist, params.n_particles, params.dim, seeds)
     # the two systems step in lockstep, so each step's increments are drawn
-    # once and read by both
+    # once and read by both where the batch is one row block
     noise = engine.NoiseSource(seeds)
     coupled = zip(
         engine.states(init, obj, params, noise),

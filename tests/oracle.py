@@ -44,13 +44,13 @@ def step(x, e, c, inc, obj, params):
 def states(x, obj, params, noise, consensus_path=None):
     """``(k, positions, energies, consensus)`` of the states k = 0..steps
     reached from the positions ``x``, as new arrays, with increments from
-    ``noise.increments(k, n, dim, dt)``.  A pinned ``consensus_path`` is
+    ``noise.increments(k, slice(0, n), dim, dt)``.  A pinned ``consensus_path`` is
     indexed by k; with H = 1 the energies are then not needed and None."""
     need_energies = consensus_path is None or not isinstance(params.h_variant, engine.ConstOne)
     out = []
     for k in range(params.steps + 1):
         if k:
-            inc = noise.increments(k - 1, *x.shape[-2:], params.dt)
+            inc = noise.increments(k - 1, slice(0, x.shape[-2]), x.shape[-1], params.dt)
             x = step(x, e, c, inc, obj, params)
         e = np.asarray(obj.eval(x), dtype=float) if need_energies else None
         c = consensus(x, e, params.alpha) if consensus_path is None else consensus_path[k]

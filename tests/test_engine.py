@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -102,53 +103,80 @@ def fresh_increments(seed, step, n, d, dt):
     return np.random.Generator(bitgen).standard_normal((n, d)) * math.sqrt(dt)
 
 
+def fresh_step(seeds, step, n, d, dt):
+    """``fresh_increments`` of one step, for an int seed or stacked for a
+    sequence of seeds."""
+    if isinstance(seeds, int):
+        return fresh_increments(seeds, step, n, d, dt)
+    return np.stack([fresh_increments(s, step, n, d, dt) for s in seeds])
+
+
 class TestNoiseSource:
-    def test_repeatable_and_step_dependent(self):
-        # the source draws every new step into its one buffer; a repeated
-        # step returns that buffer without drawing; a new (n, dim) makes a
-        # new buffer
-        src = engine.NoiseSource(7)
-        a = src.increments(0, 8, 2, 0.01)
-        first = a.copy()
-        assert src.increments(1, 8, 2, 0.01) is a  # a new step: the same buffer
-        assert not np.array_equal(a, first)
+    """A step's increments are requested one row block at a time."""
+
+    @pytest.mark.parametrize("seeds", [7, [7, 3, 11]])
+    @pytest.mark.parametrize("cuts", [(0, 50), (0, 16, 32, 48, 50), (0, 1, 2, 49, 50),
+                                      (0, 17, 34, 50)])
+    def test_consecutive_blocks_equal_whole_step(self, seeds, cuts):
+        # any split of a step into consecutive blocks, the last one partial,
+        # continues each seed's stream: bitwise the whole step's draw
+        src = engine.NoiseSource(seeds)
+        for k in (0, 3, 2**40):
+            views, got = [], []
+            for lo, hi in zip(cuts, cuts[1:]):
+                views.append(src.increments(k, slice(lo, hi), 2, 0.01))
+                got.append(views[-1].copy())
+            # a new buffer only for a block larger than any before
+            big = max(range(len(views)), key=lambda i: views[i].shape[-2])
+            assert all(np.shares_memory(v, views[big]) for v in views[big:])
+            assert np.array_equal(np.concatenate(got, axis=-2), fresh_step(seeds, k, 50, 2, 0.01))
+
+    @pytest.mark.parametrize("seeds", [7, [7, 3]])
+    def test_repeated_request_returns_same_array_without_drawing(self, seeds):
+        src = engine.NoiseSource(seeds)
+        a = src.increments(2, slice(0, 16), 1, 0.01)
         a[...] = np.nan
-        assert src.increments(1, 8, 2, 0.01) is a  # the same step: no new draw
+        assert src.increments(2, slice(0, 16), 1, 0.01) is a
         assert np.isnan(a).all()
-        assert src.increments(0, 8, 2, 0.01) is a and np.array_equal(a, first)
-        b = src.increments(0, 8, 1, 0.01)
-        assert b is not a and b.shape == (8, 1)
-        assert np.array_equal(b, fresh_increments(7, 0, 8, 1, 0.01))
+        # the stream goes on from the block drawn last
+        b = src.increments(2, slice(16, 30), 1, 0.01)
+        assert np.array_equal(b, fresh_step(seeds, 2, 30, 1, 0.01)[..., 16:, :])
+        assert src.increments(2, slice(16, 30), 1, 0.01) is b
 
-    def test_any_call_order_matches_fresh_generator(self):
-        # one generator, its key and counter reset per draw: any order of
-        # steps and shapes, into a reused or a new buffer, draws what a
-        # generator built for that step draws, for one seed and for each row
-        # of a batch
-        for seeds in (7, [7, 3]):
-            src = engine.NoiseSource(seeds)
-            rows = seeds if isinstance(seeds, list) else [seeds]
-            for k, n, d in [(5, 8, 2), (0, 50, 1), (5, 3, 2), (3, 800, 1), (4, 800, 1),
-                            (5, 8, 2)]:
-                want = np.stack([fresh_increments(s, k, n, d, 0.01) for s in rows])
-                want = want if isinstance(seeds, list) else want[0]
-                got = src.increments(k, n, d, 0.01)
-                assert np.array_equal(got, want)
-                assert src.increments(k, n, d, 0.01) is got
-            assert np.array_equal(engine.NoiseSource(seeds).increments(5, 8, 2, 0.01), want)
+    @pytest.mark.parametrize("seeds", [7, [7, 3]])
+    def test_out_of_order_requests_exact(self, seeds):
+        # a request ahead of the stream, behind it, for another step, dim or
+        # dt rewinds to its step's start and passes over the rows before it
+        # (here in several chunks of the request's own rows): still exact
+        src = engine.NoiseSource(seeds)
+        for k, lo, hi, d, dt in [(4, 20, 40, 2, 0.01), (4, 0, 10, 2, 0.01),
+                                 (4, 30, 40, 2, 0.01), (4, 10, 30, 2, 0.01),
+                                 (9, 0, 40, 2, 0.01), (4, 10, 20, 2, 0.01),
+                                 (4, 20, 30, 1, 0.01), (4, 20, 25, 1, 0.5), (4, 25, 40, 1, 0.5)]:
+            want = fresh_step(seeds, k, 40, d, dt)[..., lo:hi, :]
+            assert np.array_equal(src.increments(k, slice(lo, hi), d, dt), want)
 
-    def test_batch_rows_and_shared_buffer(self):
-        batch = engine.NoiseSource([4, 9, 2])
-        a = batch.increments(1, 6, 2, 0.01)
-        assert a.shape == (3, 6, 2)
-        for row, seed in zip(a, [4, 9, 2]):
-            assert np.array_equal(row, engine.NoiseSource(seed).increments(1, 6, 2, 0.01))
-        first = a.copy()
-        assert batch.increments(1, 6, 2, 0.01) is a  # same step: no new draw
-        assert batch.increments(2, 6, 2, 0.01) is a  # new step: the same buffer
-        assert not np.array_equal(a, first)
-        assert np.array_equal(batch.increments(1, 6, 2, 0.01), first)
-        assert engine.NoiseSource([4]).increments(1, 6, 2, 0.01).shape == (1, 6, 2)
+    def test_lockstep_iterators_over_blocks_equal_separate_runs(self, monkeypatch):
+        # the mfa pattern: a free and a pinned iterator over one batch step
+        # in lockstep on one source; with several blocks a step, the second
+        # iterator's first block of each step rewinds the stream
+        monkeypatch.setattr(metrics, "BLOCK_ROWS", 64)
+        seeds, n = [5, 6, 7], 100
+        assert len(metrics.row_blocks((len(seeds), n, 2))) == 5
+        p = engine.CboParams(lam=1.0, sigma=0.5, alpha=30.0, dt=0.05, steps=4,
+                             n_particles=n, dim=2, seed=seeds[0])
+        obj = objectives.rastrigin(2)
+        x0 = engine.sample_initial(engine.GaussianIsotropic((1.0, 1.0), 0.8), n, 2, seeds)
+        points = np.linspace(1.0, 0.2, p.steps + 1)[:, None] * np.ones(2)
+        noise = engine.NoiseSource(seeds)
+        coupled = zip(engine.states(x0, obj, p, noise),
+                      engine.states(x0, obj, p, noise, consensus=points))
+        got = [(xa.copy(), xb.copy()) for (_, xa, _), (_, xb, _) in coupled]
+        for r, seed in enumerate(seeds):
+            free = engine.states(x0[r], obj, p, engine.NoiseSource(seed))
+            pinned = engine.states(x0[r], obj, p, engine.NoiseSource(seed), consensus=points)
+            for (xa, xb), (_, wa, _), (_, wb, _) in zip(got, free, pinned, strict=True):
+                assert np.array_equal(xa[r], wa) and np.array_equal(xb[r], wb)
 
 
 class TestConsensusPoint:
@@ -607,6 +635,39 @@ class TestBlocks:
         assert f"particle {particle}" in str(err.value) and "step 2" in str(err.value)
 
 
+class TestMemory:
+    """``states`` keeps no array of the ensemble's size beyond what a state
+    carries across its layers."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("seeds", [5, [5, 6, 7]])
+    def test_peak_is_positions_energies_weights(self, monkeypatch, dim, seeds):
+        # above state 0 (the caller's, allocated before tracing): the
+        # positions workspace, the energies, the weights and the weighted
+        # positions while the consensus sums them, four arrays of n rows at
+        # d = 1 (six at the parent, with the step's whole noise buffer and a
+        # weighted-positions workspace).  Beside them: numpy's ufunc buffer,
+        # which the weights broadcast over d > 1 columns go through, and
+        # per-block temporaries and slices
+        monkeypatch.setattr(metrics, "BLOCK_ROWS", 64)
+        n = 2560
+        p = engine.CboParams(lam=1.0, sigma=0.5, alpha=30.0, dt=0.01, steps=2,
+                             n_particles=n, dim=dim, seed=5)
+        x0 = engine.sample_initial(engine.GaussianIsotropic((1.0,) * dim, 0.8), n, dim, seeds)
+        run = engine.states(x0, objectives.rastrigin(dim), p, engine.NoiseSource(seeds))
+        tracemalloc.start()
+        try:
+            for _ in run:
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        carried = 2 * x0.nbytes + 2 * (x0.nbytes // dim)
+        ufunc_buffer = min(x0.size, np.getbufsize()) * 8 if dim > 1 else 0
+        per_block = 128 * len(metrics.row_blocks(x0.shape)) + 16 * 1024
+        assert peak <= carried + ufunc_buffer + per_block
+
+
 def row_counting(obj, rows, poison=None):
     """``obj``, floor kept, whose evaluations append the evaluated rows to
     ``rows``; while ``poison`` (a list the test fills between states) holds
@@ -926,7 +987,8 @@ class TestFuzzAgainstOracle:
                           st.integers(1, 4), st.sampled_from([0.01, 0.5]))
         for k, n, d, dt in draw(st.lists(calls, min_size=1, max_size=6)):
             want = np.stack([fresh_increments(s, k, n, d, dt) for s in src.seeds])
-            assert np.array_equal(src.increments(k, n, d, dt), want if src.shape else want[0])
+            got = src.increments(k, slice(0, n), d, dt)
+            assert np.array_equal(got, want if src.shape else want[0])
 
 
 class TestMaskedExp:

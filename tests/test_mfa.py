@@ -31,7 +31,7 @@ def oracle_coupled(seed, p, points):
     noise = engine.NoiseSource(seed)
     yield a, b
     for k in range(p.steps):
-        inc = noise.increments(k, p.n_particles, 1, p.dt)
+        inc = noise.increments(k, slice(0, p.n_particles), 1, p.dt)
         e = OBJ.eval(a)
         a = oracle.step(a, e, oracle.consensus(a, e, p.alpha), inc, OBJ, p)
         b = oracle.step(b, None, points[k], inc, OBJ, p)
