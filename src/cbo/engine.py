@@ -167,8 +167,9 @@ class CboParams:
 
 
 def contraction_rate(lam, sigma, d):
-    """2 lam - d sigma^2, the decay rate of the V-functional."""
-    return 2.0 * lam - d * sigma**2
+    """2 lam - d sigma^2, the decay rate of the V-functional (-inf where
+    sigma^2 overflows)."""
+    return 2.0 * lam - d * (sigma * sigma)
 
 
 @dataclass(frozen=True)
@@ -188,8 +189,14 @@ class UniformBox:
 
     def __post_init__(self):
         lo, hi = np.asarray(self.lo, dtype=float), np.asarray(self.hi, dtype=float)
-        if lo.shape == hi.shape and not np.all(lo < hi):
+        if lo.shape != hi.shape:
+            return  # sample_initial checks both shapes against dim
+        if not np.all(lo < hi):
             raise ConfigError("degenerate box: lo < hi must hold componentwise")
+        with np.errstate(over="ignore"):  # a width past the float maximum is inf
+            width = hi - lo
+        if not np.isfinite(width).all():
+            raise ConfigError(f"box too wide: hi - lo must be finite, got {width.tolist()}")
 
 
 InitDistribution = Union[GaussianIsotropic, UniformBox]
@@ -367,7 +374,8 @@ def _screened_energies(obj, x, e, alpha, w, step, seeds, blocks):
         u = np.asarray(obj.eval(xf[first]), dtype=float)
     # the cutoff test in the operation order of _weights
     np.subtract(e, u.reshape(e.shape[:-1] + (1,)), out=w)
-    w *= -alpha
+    with np.errstate(over="ignore"):  # -inf, as in _weights
+        w *= -alpha
     candidate = w.reshape(-1) > _EXP_ZERO_BELOW
     candidate[first] = False  # evaluated already
     rest = np.flatnonzero(candidate)
@@ -393,7 +401,10 @@ def _weights(energies, emin, alpha, out=None):
     """exp(-alpha (energies - emin)), bitwise as np.exp computes it, into
     ``out`` (a new array when None)."""
     w = np.subtract(energies, emin, out=out)
-    w *= -alpha
+    # -alpha (E - E_min) may overflow to -inf for alpha near the float
+    # maximum: the exact limit, whose weight the mask and max() make +0.0
+    with np.errstate(over="ignore"):
+        w *= -alpha
     if w.min() > _EXP_ZERO_BELOW:  # a masked exp is slower when it masks nothing
         return np.exp(w, out=w)
     # exp runs only where it does not round to zero; max() then turns the
@@ -499,27 +510,10 @@ def _step(x, out, params, c, e, e_c, noise, step, blocks):
         )
 
 
-# A state is screened (``_screened_energies``) only when it spans more than
-# one row block and at most this share of the previous state's weights is
-# nonzero.  Screening adds some 40 numpy calls per state, which hold the
-# interpreter lock, and a state of one block has few evaluations to save.
-# Screening one-block states too, against this rule (alpha = 1e15, whole
-# preset, medians of 5 alternating pairs, 2 CPUs, numpy 2.4.6): fig-variance
-# at 320 rows took 1.66x the time in two threads and 1.41x pinned to one,
-# at 8000 rows 1.21x and 0.99x; but fig-trajectories --runs 4, whose
-# batches of two runs are 8006 rows, took 0.89x and 0.71x, so a rule on
-# rows, not blocks, may serve both.  And where most rows pass the floor
-# test, screening costs more than evaluating every row; the test passes
-# many more rows than carry weight.  Rastrigin over 200 steps (lam = 1,
-# sigma = 0.5, dt = 0.01) from N((1, ..), 0.8), 20000 x 1 and 20000 x 2:
-#   alpha = 30: every weight nonzero: never screened;
-#   alpha = 1e3: nonzero share 0.06-0.60 (1-D: never screened) and
-#     0.003-0.28 (2-D: 68 of 200 states screened, 15-53 % of rows pass);
-#   alpha = 1e15: one nonzero weight (share 5e-5; at most 0.6 % of rows
-#     pass): every state after the first screened.
-# Interleaved against evaluating every row (5 pairs, one CPU, numpy 2.4.6),
-# the run takes 0.95x and 1.00x the time at alpha = 30 (not screened: the
-# spread of the host), 1.02x and 0.96x at 1e3, 0.61x and 0.56x at 1e15.
+# A state is screened (``_screened_energies``) only after one in which at
+# most this share of the weights was nonzero: at alpha = 30 every weight is
+# nonzero, and screening, whose floor test passes many more rows than carry
+# weight, would cost more than it saves.
 _SCREEN_SHARE = 1.0 / 64.0
 
 
@@ -538,13 +532,13 @@ def states(x, obj, params, noise, consensus=None):
     The energies and the step run over cache-sized row blocks
     (``metrics.row_blocks``), so ``obj.eval`` must compute each row's
     energy from that row alone.  With a free consensus, ``ConstOne`` and
-    an objective with a ``floor``, a state of more than one block after one
-    with few nonzero weights is screened: its floors are written, only the
-    rows whose weight can be nonzero are evaluated, in one call, and its
-    E_min, weights and count of nonzero weights come from those rows; its
-    weighted mean is summed over them alone where each replication has at
-    most two nonzero weights and no weighted sum is zero.  A
-    ramp H's E(c) is evaluated just before the step that reads it.
+    an objective with a ``floor``, a state after one with few nonzero
+    weights is screened: its floors are written, only the rows whose weight
+    can be nonzero are evaluated, in one call, and its E_min, weights and
+    count of nonzero weights come from those rows; its weighted mean is
+    summed over them alone where each replication has at most two nonzero
+    weights and no weighted sum is zero.  A ramp H's E(c) is evaluated just
+    before the step that reads it.
 
     Of the ensemble's size, a state carries only its positions, energies
     and weights; the consensus makes the weighted positions as a temporary.
@@ -570,7 +564,7 @@ def states(x, obj, params, noise, consensus=None):
     const_one = isinstance(params.h_variant, ConstOne)
     e = np.empty(x.shape[:-1]) if free or not const_one else None
     w = np.empty(x.shape[:-1]) if free else None  # the weights
-    screening = free and const_one and obj.floor is not None and len(blocks) > 1
+    screening = free and const_one and obj.floor is not None
     screen = False  # state 0 is evaluated in full
     for k in range(params.steps + 1):
         if k:

@@ -94,13 +94,12 @@ def decay_rate_q(lam, sigma, d, c, r, b_bound):
         raise InvalidInputError(f"b_bound must be >= 0, got {b_bound}")
     if sigma == 0:
         raise InfiniteRateError("sigma = 0 admits no finite mass-decay rate")
-    sc = math.sqrt(c)
+    # squares as products, which overflow to inf where ** raises; the noise
+    # part's (c r^2 + B^2) / r^2 as c + (B / r)^2, finite for any finite r
+    sc, ratio = math.sqrt(c), b_bound / r
     drift_part = 2.0 * lam * (sc * r + b_bound) * sc / ((1.0 - c) ** 2 * r)
-    noise_part = (
-        2.0 * sigma**2 * (c * r**2 + b_bound**2) * (2.0 * c + d)
-        / ((1.0 - c) ** 4 * r**2)
-    )
-    return max(drift_part + noise_part, 4.0 * lam**2 / ((2.0 * c - 1.0) * sigma**2))
+    noise_part = 2.0 * sigma * sigma * (c + ratio * ratio) * (2.0 * c + d) / (1.0 - c) ** 4
+    return max(drift_part + noise_part, 4.0 * lam * lam / ((2.0 * c - 1.0) * sigma * sigma))
 
 
 def mass_lower_bound(phi_mass0, q, t):
@@ -277,13 +276,17 @@ def wellprep_check(alpha, lam, sigma, e_under, energies, var0, d):
     energies = np.asarray(energies, dtype=float)
     if energies.size == 0:
         raise InvalidInputError("need a nonempty energy sample")
-    lhs1 = 2.0 * alpha * math.exp(-2.0 * alpha * e_under) * (sigma**2 + 2.0 * lam)
+    # alpha E_under before the factor -2, so that an alpha that overflows
+    # with it meets E_under = 0 as 0, not as -inf * 0
+    lhs1 = 2.0 * alpha * math.exp(-2.0 * (alpha * e_under)) * (sigma**2 + 2.0 * lam)
     margin1 = 0.75 - lhs1
-    w = float(np.mean(np.exp(-alpha * energies)))
+    # -alpha E overflows to -inf for alpha near the float maximum: exp gives 0
+    with np.errstate(over="ignore"):
+        w = float(np.mean(np.exp(-alpha * energies)))
+        w_shifted = float(np.mean(np.exp(-alpha * (energies - e_under))))
     margin2 = (
         2.0 * lam * w**2 - var0 - 2.0 * d * sigma**2 * w * math.exp(-alpha * e_under)
     )
-    w_shifted = float(np.mean(np.exp(-alpha * (energies - e_under))))
     margin_var = 3.0 / (8.0 * alpha) * w_shifted**2 - var0
     return WellPreparedness(
         cond1=margin1 > 0,

@@ -139,6 +139,9 @@ class TestConfigErrors:
         ("run", ("recording", "stride"), 0, "config error: recording: stride must be >= 1"),
         ("run", ("init", "variance"), -1, "config error: init: variance must be positive"),
         ("run", ("init",), {"kind": "uniform", "lo": [1.0], "hi": [1.0]}, "init: degenerate"),
+        # a box whose width overflows, which the sample would turn into NaN
+        ("run", ("init",), {"kind": "uniform", "lo": [-1e308], "hi": [1e308]},
+         "init: box too wide"),
         ("theory", ("params", "lambda"), -1, "config error: params: lam must be >= 0"),
         ("mfa", ("init", "variance"), 0, "config error: init: variance must be positive"),
         ("fig_variance", ("fig_variance", "scale"), 0, "fig_variance.scale: must lie in (0, 1]"),
@@ -445,6 +448,26 @@ class TestTheoryCommand:
         cfg["params"].update({"lambda": 0.1, "sigma": 1.0})
         cfg["theory"] = {"eps": 0.01, "tau": 0.1, "sample_n": 100}
         assert cli.main(["theory", write_config(tmp_path, cfg)]) == cli.EXIT_THEORY
+
+    @pytest.mark.parametrize("block, key, code, q", [
+        ("theory", "r", cli.EXIT_OK, "q = 67.7"),
+        ("theory", "b_bound", cli.EXIT_OK, "q = inf"),
+        ("params", "lambda", cli.EXIT_OK, "q = inf"),
+        ("params", "sigma", cli.EXIT_THEORY, None),
+    ])
+    def test_value_whose_square_overflows(self, tmp_path, capsys, block, key, code, q):
+        # past ~1.3e154 a square overflows: q is then inf, or for a huge r,
+        # whose terms cancel, finite; sigma^2 = inf is not contractive
+        cfg = json.loads((CONFIGS / "run_rastrigin.json").read_text())
+        cfg[block][key] = 1e200
+        cfg["theory"]["sample_n"] = 2000
+        cfg["outputs"] = str(tmp_path / "out")
+        assert cli.main(["theory", write_config(tmp_path, cfg)]) == code
+        if q is None:
+            assert "sigma^2" in capsys.readouterr().err
+        else:
+            text = (tmp_path / "out" / "theory.txt").read_text()
+            assert q in text and "nan" not in text
 
     @pytest.mark.parametrize("sample_n", [1, 5, 9])
     def test_sample_smaller_than_ball_point_count(self, tmp_path, sample_n):

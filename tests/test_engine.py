@@ -704,11 +704,12 @@ def bits(a):
 
 
 class TestScreening:
-    """With a floor, ConstOne and a free consensus, a state of more than one
-    row block after one with few nonzero weights evaluates only the rows
-    that can carry weight.  Its consensus is reduced over those rows alone
-    when each replication has at most two nonzero weights and no weighted
-    sum is zero, else over every row; both are bitwise the oracle's."""
+    """With a floor, ConstOne and a free consensus, a state after one with
+    few nonzero weights evaluates only the rows that can carry weight,
+    whatever its number of row blocks.  Its consensus is reduced over those
+    rows alone when each replication has at most two nonzero weights and no
+    weighted sum is zero, else over every row; both are bitwise the
+    oracle's."""
 
     DIST = engine.GaussianIsotropic((1.0,), 0.8)
     BATCH_SEEDS = (31, 32, 33)
@@ -731,6 +732,38 @@ class TestScreening:
             assert len(set(index)) == len(index)  # no row twice
         assert sum(map(len, per_state[1:])) < 0.01 * size * (len(per_state) - 1)
 
+    def test_one_block_batch_evaluates_few_rows(self):
+        # the fig-trajectories batch shape: two runs of 4003 x 2, one row
+        # block at the default BLOCK_ROWS
+        seeds, rows = (1, 2), []
+        assert len(metrics.row_blocks((len(seeds), 4003, 2))) == 1
+        p = engine.CboParams(lam=1.0, sigma=0.1, alpha=1e15, dt=0.01, steps=10,
+                             n_particles=4003, dim=2, seed=1)
+        x0 = engine.sample_initial(engine.GaussianIsotropic((8.0, 8.0), 20.0), 4003, 2, seeds)
+        obj = row_counting(objectives.rastrigin(2), rows)
+        per_state = evaluated_per_state(engine.states(x0, obj, p, engine.NoiseSource(seeds)),
+                                        rows)
+        assert len(per_state[0]) == x0.shape[0] * x0.shape[1]  # state 0 in full
+        for index in per_state[1:]:
+            assert len(index) < 0.01 * len(per_state[0])
+
+    def test_alpha_near_float_max_screens_without_warning(self):
+        # -alpha (E - u) overflows to -inf in the cutoff test and in the
+        # weights; positions and consensus are still the oracle's
+        p = engine.CboParams(lam=1.0, sigma=0.5, alpha=1e308, dt=0.01, steps=3,
+                             n_particles=20000, dim=1, seed=1)
+        x0 = engine.sample_initial(self.DIST, 20000, 1, 1)
+        obj = objectives.rastrigin(1)
+        with np.errstate(over="ignore"):
+            want = list(oracle.states(x0, obj, p, engine.NoiseSource(1)))
+        rows = []
+        got = engine.states(x0, row_counting(obj, rows), p, engine.NoiseSource(1))
+        for (k, x, c), (_, xw, _, cw) in zip(got, want, strict=True):
+            assert np.array_equal(x, xw) and np.array_equal(c, cw), k
+            if k:
+                assert sum(map(len, rows)) < 200  # screened
+            rows.clear()
+
     def test_moderate_alpha_evaluates_every_row(self):
         rows = []
         obj = row_counting(objectives.rastrigin(1), rows)
@@ -749,15 +782,13 @@ class TestScreening:
     @pytest.mark.parametrize("batch", [False, True])
     @pytest.mark.parametrize("bad, floor_too", [(math.nan, False), (math.inf, True)],
                              ids=["nan-candidate", "inf-floor"])
-    def test_nonfinite_energy_names_what_full_evaluation_names(self, monkeypatch, batch, bad,
-                                                               floor_too):
+    def test_nonfinite_energy_names_what_full_evaluation_names(self, batch, bad, floor_too):
         # a non-finite energy from state 2 on at a particle next to its
         # replication's best one.  A NaN with the floor finite: the particle
         # is a candidate of the screened evaluation.  An inf floor with it:
         # the state is evaluated in full, or the row, never a candidate,
         # would go unchecked.  Both name the step, particle and seed that
         # the evaluation of every row names.
-        monkeypatch.setattr(metrics, "BLOCK_ROWS", 64)  # only a state of blocks is screened
         seeds = (31, 32, 33) if batch else 31
         x = np.random.default_rng(5).uniform(0.5, 1.0, (3, 300, 1) if batch else (300, 1))
         mine = x[1] if batch else x
@@ -784,11 +815,10 @@ class TestScreening:
         assert (got.step, got.particle, got.seed) == (2, 250, 32 if batch else None)
         assert str(got) == str(want)
 
-    def test_weight_near_cutoff_is_evaluated(self, monkeypatch):
+    def test_weight_near_cutoff_is_evaluated(self):
         # beside the best particle at 0, one whose weight exp(-717.5) is
         # tiny but not zero: it moves the consensus off 0, and its floor,
         # 1.0201 against the energy 1.0250, would give it another weight
-        monkeypatch.setattr(metrics, "BLOCK_ROWS", 64)
         obj = objectives.rastrigin(1)
         x = np.random.default_rng(7).uniform(2.0, 3.0, (300, 1))
         x[[3, 200], 0] = 0.0, 1.01
@@ -799,10 +829,9 @@ class TestScreening:
         for (k, _, c), (_, _, _, cw) in zip(got, want, strict=True):
             assert c[0] != 0.0 and np.array_equal(c, cw), k
 
-    def test_floor_above_energy_names_particle_and_step(self, monkeypatch):
+    def test_floor_above_energy_names_particle_and_step(self):
         # a floor that no longer bounds eval, as when eval is replaced and
         # the floor kept
-        monkeypatch.setattr(metrics, "BLOCK_ROWS", 64)
         base = objectives.rastrigin(1)
         obj = dataclasses.replace(base, floor=lambda v: base.floor(v) + 1.0)
         x = np.random.default_rng(6).uniform(0.5, 1.0, (300, 1))
@@ -837,7 +866,6 @@ class TestScreening:
         ``x``, (n, 2) or (3, n, 2), with rows far from the best ones drawn
         around (-2.5, 2.5); positions and consensus are checked bitwise
         against the oracle's."""
-        monkeypatch.setattr(metrics, "BLOCK_ROWS", 64)  # only a state of blocks is screened
         screened, full = [], []
         for name, calls in (("_screened_consensus", screened), ("_weighted_mean", full)):
             def spy(*args, fn=getattr(engine, name), calls=calls):
@@ -901,8 +929,7 @@ class TestFuzzAgainstOracle:
         # anywhere in the space of shapes, blocks, alphas, cutoffs and
         # objectives; half the examples are runs whose states after the
         # first can be screened: a free consensus, H = 1, Rastrigin, n >= 64,
-        # alpha >= 1e3 and more than one block, with ties and zeros in the
-        # best rows
+        # alpha >= 1e3, with ties and zeros in the best rows
         draw = data.draw
         screenable = draw(st.booleans())
         d = draw(st.integers(1, 10))
@@ -934,8 +961,7 @@ class TestFuzzAgainstOracle:
             consensus = rng.normal(0.0, 1.0, (p.steps + 1, d))
         want = oracle.states(x0, obj, p, engine.NoiseSource(seeds), consensus)
         with pytest.MonkeyPatch.context() as mp:
-            blocks = [7, 64] + ([] if screenable else [8192])
-            mp.setattr(metrics, "BLOCK_ROWS", draw(st.sampled_from(blocks)))
+            mp.setattr(metrics, "BLOCK_ROWS", draw(st.sampled_from([7, 64, 8192])))
             got = engine.states(x0, obj, p, engine.NoiseSource(seeds), consensus=consensus)
             for (k, x, c), (_, xw, _, cw) in zip(got, want, strict=True):
                 assert np.array_equal(x, xw), k
@@ -1011,6 +1037,18 @@ class TestMaskedExp:
         out = np.full_like(e, np.nan)
         assert engine._weights(e, emin, alpha, out=out) is out
         assert np.array_equal(out.view(np.int64), want.view(np.int64))
+
+    def test_weights_overflowing_argument_bitwise_np_exp(self):
+        # alpha (e - min e) past the float maximum: the argument is -inf, the
+        # exact limit, and its weight +0.0 like np.exp's
+        e = np.array([[0.0, 1e-300, 0.5, 2.0, 1e300], [3.0, 2.0, 2.0, 7.0, 2.5]])
+        emin = e.min(axis=-1, keepdims=True)
+        with np.errstate(over="ignore"):
+            arg = -1e308 * (e - emin)
+        assert np.isinf(arg).any()
+        want = np.exp(arg)
+        got = engine._weights(e, emin, 1e308)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_weights_above_cutoff_bitwise_np_exp(self):
         # no argument below the cutoff: exp runs unmasked, across the values

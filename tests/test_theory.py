@@ -249,6 +249,13 @@ class TestWellPrep:
         wp = theory.wellprep_check(1e6, 1.0, 0.0, 0.0, np.array([0.0]), 0.0, 1)
         assert not wp.cond1
 
+    def test_alpha_near_float_max(self):
+        # -2 alpha and -alpha E overflow to -inf: margin1 is -inf, not the
+        # NaN of -inf * E_under, and the sample weights are exp(-inf) = 0
+        wp = theory.wellprep_check(1e308, 1.0, 0.5, 0.0, np.array([0.0, 2.0, 3.0]), 0.1, 1)
+        assert wp.margin1 == -math.inf and not wp.cond1
+        assert math.isfinite(wp.margin2) and math.isfinite(wp.var_bound_margin)
+
     def test_condition2_zero_variance_reduces(self):
         energies = np.array([0.5, 1.0, 2.0])
         alpha, lam, sigma, d = 0.7, 1.3, 0.4, 2
