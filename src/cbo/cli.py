@@ -2,12 +2,11 @@
 theory reports.
 
 ``PRESETS`` holds each preset's function and its options, each with type,
-default and lower bound; ``read_block`` reads every config block.  Options
-by JSON block (``cbo run`` with ``"preset": "fig_variance"`` etc. reads the
-same block, and ``params`` sets seed, steps and dt):
+default and lower bound; ``read_block`` reads every config block.  Options,
+as flags or by JSON block:
 
-    cbo preset fig-variance      fig_variance: --scale; --full, --seed, --steps, --out
-    cbo preset fig-trajectories  fig_trajectories: --runs, --n; --full, --seed, --steps, --out
+    cbo preset fig-variance      --scale, --seed, --steps; --full, --out
+    cbo preset fig-trajectories  --runs, --n, --seed, --steps; --full, --out
     cbo preset mfa-sweep         mfa: n_values, n_ref, n_seeds, seed0, m_factor
     cbo preset laplace-audit     audit: measures, seed, max_n, min_inside
     cbo theory                   theory: eps, tau, r, b_bound, q_laplace, sample_n
@@ -47,6 +46,9 @@ EXIT_AUDIT_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_DIVERGENCE = 3
 EXIT_THEORY = 4
+
+# both figure presets step with dt = 0.01
+FIG_DT = 0.01
 
 # fig-variance experiment: 1-D Rastrigin, Gaussian starts N(mu, 0.8)
 FIG_VARIANCE_FULL_N = 320_000
@@ -350,7 +352,7 @@ def run_simulation(out_dir, cfg):
 # preset: fig-variance
 
 
-def preset_fig_variance(out_dir, scale, seed, steps, dt=0.01):
+def preset_fig_variance(out_dir, scale, seed, steps):
     """Variance vs V-functional decay on the 1-D Rastrigin objective, one
     run per initial mean; N is the full 320000 scaled by ``scale``."""
     n = int(round(FIG_VARIANCE_FULL_N * scale))
@@ -360,7 +362,7 @@ def preset_fig_variance(out_dir, scale, seed, steps, dt=0.01):
     _check_seeds(seed, len(FIG_VARIANCE_MEANS), "fig_variance.seed")
     obj = objectives.rastrigin(1)
     plan = RecordingPlan(stride=1, ball_radii=(0.25, 0.5, 1.0))
-    base = engine.CboParams(lam=1.0, sigma=0.5, alpha=1e15, dt=dt, steps=steps,
+    base = engine.CboParams(lam=1.0, sigma=0.5, alpha=1e15, dt=FIG_DT, steps=steps,
                             n_particles=n, dim=1, seed=seed)
 
     def one(i_mu):
@@ -376,7 +378,7 @@ def preset_fig_variance(out_dir, scale, seed, steps, dt=0.01):
         "n_particles": n,
         "scale": scale,
         "steps": steps,
-        "dt": dt,
+        "dt": FIG_DT,
         "theoretical_rate": engine.contraction_rate(base.lam, base.sigma, base.dim),
     }
     for mu, params, result in runs:
@@ -420,7 +422,7 @@ def chord_deviation(points, start, target):
     return float(orth.max()) / length
 
 
-def preset_fig_trajectories(out_dir, runs, n, seed, steps, dt=0.01):
+def preset_fig_trajectories(out_dir, runs, n, seed, steps):
     """Mean trajectories of three tracked agents on the 2-D Rastrigin
     objective, averaged over ``runs`` >= 2 repeated runs; the tracked agents
     join the ensemble and participate in the dynamics."""
@@ -433,7 +435,7 @@ def preset_fig_trajectories(out_dir, runs, n, seed, steps, dt=0.01):
     _check_floats(runs * (steps + 1) * len(tracked) * 2, "fig_trajectories.runs * (steps + 1)")
     _check_seeds(seed, runs, "fig_trajectories.seed")
     params = engine.CboParams(
-        lam=1.0, sigma=0.1, alpha=1e15, dt=dt, steps=steps,
+        lam=1.0, sigma=0.1, alpha=1e15, dt=FIG_DT, steps=steps,
         n_particles=n_total, dim=2, seed=seed,
     )
 
@@ -453,7 +455,7 @@ def preset_fig_trajectories(out_dir, runs, n, seed, steps, dt=0.01):
     batches = seed_batches(range(seed, seed + runs), n_total)
     trajs = np.concatenate(thread_map(run_batch, batches))   # (runs, K+1, 3, 2)
     mean_traj = trajs.mean(axis=0)                       # (K+1, 3, 2)
-    times = np.arange(steps + 1) * dt
+    times = np.arange(steps + 1) * FIG_DT
 
     agents, ks = range(len(tracked)), range(steps + 1)
     _write_csv(out_dir / "trajectories.csv", ["run", "agent", "t", "x", "y"], (
@@ -471,7 +473,7 @@ def preset_fig_trajectories(out_dir, runs, n, seed, steps, dt=0.01):
         "runs": runs,
         "n_particles": n,
         "steps": steps,
-        "dt": dt,
+        "dt": FIG_DT,
         "seed": seed,
         "chord_deviation_tolerance": FIG_TRAJ_CHORD_TOL,
     }
@@ -562,7 +564,9 @@ def run_theory(out_dir, cfg, eps, tau, r, b_bound, q_laplace, sample_n):
         "q": "infinite (sigma=0)" if report.q_rate is None else report.q_rate,
         "t_star": report.t_star,
         "alpha0": "undefined (see notes)" if report.alpha0 is None else report.alpha0,
-        "b1": report.b1, "b2": report.b2, "laplace_rhs": report.laplace_rhs,
+        "b1": report.b1, "b2": report.b2,
+        "laplace_rhs": ("undefined (see notes)" if report.laplace_rhs is None
+                        else report.laplace_rhs),
         "wellprep_cond1": f"{_fmt(wp.cond1)} (margin = {_fmt(wp.margin1)})",
         "wellprep_cond2": f"{_fmt(wp.cond2)} (margin = {_fmt(wp.margin2)})",
         "var_concentration_margin": wp.var_bound_margin,
@@ -578,15 +582,14 @@ def run_theory(out_dir, cfg, eps, tau, r, b_bound, q_laplace, sample_n):
 
 
 class Preset(NamedTuple):
-    """A route's function and the spec of the options in its JSON ``block``.
-    A preset with ``flags`` takes both on the command line, where ``--full``
-    sets ``full``, and through ``cbo run`` ``params`` sets the flags and dt.
-    One without reads a JSON config; ``run_config`` passes it the run config."""
+    """A route's function and the spec of its options, which name ``block``
+    in errors.  A preset with ``full`` takes them as flags, where ``--full``
+    sets ``full``; one without reads them from its JSON block of a config,
+    and ``run_config`` passes it the run config of that file too."""
 
     run: object
     block: str
     options: tuple
-    flags: tuple = ()
     full: Optional[dict] = None
     run_config: bool = False
 
@@ -594,14 +597,14 @@ class Preset(NamedTuple):
 PRESETS = {  # by JSON name; the command line spells "_" as "-"
     "fig_variance": Preset(
         preset_fig_variance, "fig_variance",
-        (Opt("scale", _json_finite, 1.0 / 16.0),),
-        flags=(Opt("seed", _json_int, 1, lo=0), Opt("steps", _json_int, 400, lo=0)),
+        (Opt("scale", _json_finite, 1.0 / 16.0),
+         Opt("seed", _json_int, 1, lo=0), Opt("steps", _json_int, 400, lo=0)),
         full={"scale": 1.0},
     ),
     "fig_trajectories": Preset(
         preset_fig_trajectories, "fig_trajectories",
-        (Opt("runs", _json_int, 100, lo=2), Opt("n", _json_int, 4000, lo=1)),
-        flags=(Opt("seed", _json_int, 1, lo=0), Opt("steps", _json_int, 600, lo=0)),
+        (Opt("runs", _json_int, 100, lo=2), Opt("n", _json_int, 4000, lo=1),
+         Opt("seed", _json_int, 1, lo=0), Opt("steps", _json_int, 600, lo=0)),
         full={"n": 32_000},
     ),
     "mfa_sweep": Preset(
@@ -626,8 +629,8 @@ THEORY = Preset(run_theory, "theory", (  # cbo theory
 ), run_config=True)
 
 # every top-level key of a config that some route reads
-_TOP_LEVEL_KEYS = ("objective", "init", "params", "recording", "outputs", "preset",
-                   *(route.block for route in (*PRESETS.values(), THEORY)))
+_TOP_LEVEL_KEYS = ("objective", "init", "params", "recording", "outputs",
+                   *(route.block for route in (*PRESETS.values(), THEORY) if not route.full))
 
 
 # ---------------------------------------------------------------------------
@@ -650,12 +653,12 @@ def _build_parser():
     psub = p_preset.add_subparsers(dest="preset", required=True)
     for name, preset in PRESETS.items():
         p = psub.add_parser(name.replace("_", "-"))
-        if not preset.flags:
+        if not preset.full:
             p.add_argument("config")
             continue
         # --full sets the options it names, so it excludes their flags
         full = p.add_mutually_exclusive_group()
-        for opt in preset.options + preset.flags:
+        for opt in preset.options:
             flag_type = {_json_int: int, _json_finite: float}[opt.read]
             (full if opt.key in preset.full else p).add_argument(
                 f"--{opt.key}", type=flag_type, default=opt.default, help="default %(default)s")
@@ -667,33 +670,25 @@ def _build_parser():
 
 def _dispatch(args):
     """Run the route of ``args``, reading its own top-level keys once each:
-    ``outputs`` (or ``--out``), ``preset`` on ``cbo run``, and its block."""
+    ``outputs`` (or ``--out``) and its block."""
     command, name = args.command, getattr(args, "preset", "").replace("-", "_")
-    flagged = command == "preset" and bool(PRESETS[name].flags)
-    if flagged:  # the command line holds the outputs and the block
-        opts = PRESETS[name].options + PRESETS[name].flags
-        flags = {**vars(args), **(PRESETS[name].full if args.full else {})}
-        raw = {"outputs": args.out, PRESETS[name].block: {o.key: flags[o.key] for o in opts}}
+    preset = {"run": None, "theory": THEORY}.get(command, PRESETS.get(name))
+    if preset is not None and preset.full:  # the command line holds the outputs and the block
+        flags = {**vars(args), **(preset.full if args.full else {})}
+        raw = {"outputs": args.out, preset.block: {o.key: flags[o.key] for o in preset.options}}
     else:
         raw = load_config(args.config)
     out = {"run": "out", "theory": None}.get(command, f"out/{name}")
     if isinstance(raw, dict):  # a default path is checked like a given one
         raw = {"outputs": out, **raw}
-    top = (Opt("outputs", _json_path, out), Opt("preset", _json_str, None))
-    v = read_block(raw, "", top if command == "run" else top[:1])
-    if v.get("preset") not in (None, *PRESETS):
-        raise ConfigError(f"preset: unknown preset {v['preset']!r}")
-    preset = THEORY if command == "theory" else PRESETS.get(v.get("preset", name))
-    cfg = None if command == "preset" and not preset.run_config else parse_run_config(raw)
+    out_dir = read_block(raw, "", (Opt("outputs", _json_path, out),))["outputs"]
+    cfg = parse_run_config(raw) if preset is None or preset.run_config else None
     if preset is None:
-        return run_simulation(v["outputs"], cfg)
-    values = read_block(raw.get(preset.block, {}), preset.block,
-                        preset.options + (preset.flags if flagged else ()))
-    if preset.flags and not flagged:  # a run config sets them, and dt, through params
-        values.update({o.key: getattr(cfg.params, o.key) for o in preset.flags}, dt=cfg.params.dt)
+        return run_simulation(out_dir, cfg)
+    values = read_block(raw.get(preset.block, {}), preset.block, preset.options)
     if preset.run_config:
         values["cfg"] = cfg
-    return preset.run(v["outputs"], **values)
+    return preset.run(out_dir, **values)
 
 
 def main(argv=None):

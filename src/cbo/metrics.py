@@ -184,7 +184,10 @@ def snapshot(t, x, vstar, consensus, ball_radii):
 def lsq_slope(x, y):
     """Least-squares slope of the 1-D float array ``y`` against ``x``."""
     xc = x - x.mean()
-    return float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))
+    spread = np.dot(xc, xc)
+    if not spread > 0:  # equal x, or a spread whose square underflows
+        raise InvalidInputError(f"no slope: the x values' squared spread is {spread}")
+    return float(np.dot(xc, y - y.mean()) / spread)
 
 
 def fit_decay_rate(ts, ys, window):

@@ -94,12 +94,14 @@ def decay_rate_q(lam, sigma, d, c, r, b_bound):
         raise InvalidInputError(f"b_bound must be >= 0, got {b_bound}")
     if sigma == 0:
         raise InfiniteRateError("sigma = 0 admits no finite mass-decay rate")
-    # squares as products, which overflow to inf where ** raises; the noise
-    # part's (c r^2 + B^2) / r^2 as c + (B / r)^2, finite for any finite r
+    # squares as products, which overflow to inf where ** raises, and one
+    # division per small factor, which overflows to inf where their product
+    # would underflow to 0; the noise part's (c r^2 + B^2) / r^2 as
+    # c + (B / r)^2, finite for any finite r
     sc, ratio = math.sqrt(c), b_bound / r
-    drift_part = 2.0 * lam * (sc * r + b_bound) * sc / ((1.0 - c) ** 2 * r)
+    drift_part = 2.0 * lam * (sc * r + b_bound) * sc / (1.0 - c) ** 2 / r
     noise_part = 2.0 * sigma * sigma * (c + ratio * ratio) * (2.0 * c + d) / (1.0 - c) ** 4
-    return max(drift_part + noise_part, 4.0 * lam * lam / ((2.0 * c - 1.0) * sigma * sigma))
+    return max(drift_part + noise_part, 4.0 * lam * lam / (2.0 * c - 1.0) / sigma / sigma)
 
 
 def mass_lower_bound(phi_mass0, q, t):
@@ -147,8 +149,8 @@ def mollifier_grad(v, vstar, r):
     diff, s = _radial_parts(v, vstar, r)
     if s >= r * r:
         return np.zeros_like(diff)
-    gap = r * r - s
-    return -2.0 * r * r * diff / gap**2 * mollifier(v, vstar, r)
+    gap = r * r - s  # a division by gap twice: gap^2 may overflow
+    return -2.0 * r * r * diff / gap / gap * mollifier(v, vstar, r)
 
 
 def mollifier_laplacian(v, vstar, r):
@@ -163,8 +165,10 @@ def mollifier_laplacian(v, vstar, r):
         return 0.0
     d = diff.shape[-1]
     gap = r * r - s
-    num = 2.0 * (2.0 * s - r * r) * s - d * gap**2
-    return float(2.0 * r * r * num / gap**4 * mollifier(v, vstar, r))
+    # as 2 r^2 / gap^2 * [2 (2 s - r^2) s / gap^2 - d], each 1 / gap^2 a
+    # division by gap twice: gap^2 may overflow, and gap^4 sooner
+    num = 2.0 * (2.0 * s - r * r) * s / gap / gap - d
+    return float(2.0 * r * r / gap / gap * num * mollifier(v, vstar, r))
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +219,9 @@ def alpha0_c_constant(tau, lam, sigma, d):
         raise NonContractiveError("need 2 lam > d sigma^2")
     if not 0.0 < tau < 1.0:
         raise InvalidInputError(f"tau must lie in (0, 1), got {tau}")
-    first = tau * rate / (2.0 * math.sqrt(2.0) * (lam + d * sigma**2))
-    if sigma > 0:
-        second = math.sqrt(tau * rate / (d * sigma**2))
+    first = tau * rate / (2.0 * math.sqrt(2.0) * (lam + d * (sigma * sigma)))
+    if sigma > 0:  # divided by sigma twice: sigma^2 may underflow to 0
+        second = math.sqrt(tau * rate / d / sigma / sigma)
         sqrt_c = min(first, second)
     else:
         sqrt_c = first
@@ -236,14 +240,14 @@ def alpha0_estimate(c, eta, eps, l, mass_fn):
     """
     if not (c > 0 and eta > 0 and eps > 0 and l > 0):
         raise InvalidInputError("c, eta, eps, l must all be positive")
-    radius = c * eta**2 * eps / (8.0 * l)
+    radius = c * (eta * eta) * eps / (8.0 * l)
     mass = float(mass_fn(radius))
     if mass <= 0:
         raise UnsupportedInitializationError(
             f"initial measure has zero mass in the ball of radius {radius:.3g}"
         )
     return -8.0 * math.log(math.sqrt(c) / (2.0 * math.sqrt(2.0)) * mass) / (
-        c * eta**2 * eps
+        c * (eta * eta) * eps
     )
 
 
@@ -278,16 +282,17 @@ def wellprep_check(alpha, lam, sigma, e_under, energies, var0, d):
         raise InvalidInputError("need a nonempty energy sample")
     # alpha E_under before the factor -2, so that an alpha that overflows
     # with it meets E_under = 0 as 0, not as -inf * 0
-    lhs1 = 2.0 * alpha * math.exp(-2.0 * (alpha * e_under)) * (sigma**2 + 2.0 * lam)
+    lhs1 = 2.0 * alpha * math.exp(-2.0 * (alpha * e_under)) * (sigma * sigma + 2.0 * lam)
     margin1 = 0.75 - lhs1
     # -alpha E overflows to -inf for alpha near the float maximum: exp gives 0
     with np.errstate(over="ignore"):
         w = float(np.mean(np.exp(-alpha * energies)))
         w_shifted = float(np.mean(np.exp(-alpha * (energies - e_under))))
     margin2 = (
-        2.0 * lam * w**2 - var0 - 2.0 * d * sigma**2 * w * math.exp(-alpha * e_under)
+        2.0 * lam * (w * w) - var0
+        - 2.0 * d * (sigma * sigma) * w * math.exp(-alpha * e_under)
     )
-    margin_var = 3.0 / (8.0 * alpha) * w_shifted**2 - var0
+    margin_var = 3.0 / (8.0 * alpha) * (w_shifted * w_shifted) - var0
     return WellPreparedness(
         cond1=margin1 > 0,
         cond2=margin2 >= 0,
@@ -310,15 +315,15 @@ def evolution_rhs(v, cons_dist, lam, sigma, d, h_active=None):
     """
     if v < 0 or cons_dist < 0:
         raise InvalidInputError("v and cons_dist must be >= 0")
-    ds2 = d * sigma**2
+    ds2 = d * (sigma * sigma)
     val = (
         -engine.contraction_rate(lam, sigma, d) * v
         + math.sqrt(2.0) * (lam + ds2) * math.sqrt(v) * cons_dist
-        + 0.5 * ds2 * cons_dist**2
+        + 0.5 * ds2 * (cons_dist * cons_dist)
     )
     if h_active is not None:
         eta, nu, l_e, gamma = h_active
-        val += (lam / eta**2) * (l_e * (1.0 + cons_dist**gamma) * cons_dist) ** (
+        val += (lam / eta / eta) * (l_e * (1.0 + cons_dist**gamma) * cons_dist) ** (
             2.0 * nu
         )
     return val
@@ -336,8 +341,8 @@ def b_constants(alpha, c2, c3, c4, bounded=None):
         return 0.0, math.exp(alpha * (e_sup - e_under))
     if not (alpha > 0 and c2 > 0 and c3 > 0 and c4 > 0):
         raise InvalidInputError("alpha and C2..C4 must be positive")
-    b2 = 2.0 * (c2 / c3) * (1.0 + 1.0 / (alpha * c3 * c4**2))
-    return c4**2 + b2, b2
+    b2 = 2.0 * (c2 / c3) * (1.0 + 1.0 / (alpha * c3 * (c4 * c4)))
+    return c4 * c4 + b2, b2
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +368,11 @@ def _small_ball_mass(dists, d, rad):
 class TheoryReport:
     """Evaluated closed-form constants for one configuration.
 
-    ``q_rate`` and ``alpha0`` are None when undefined for the configuration
-    (sigma = 0, respectively tau = 0 or an unsupported initialization); the
-    reason is then recorded in ``notes``.  ``wellprep`` holds the
-    well-preparedness conditions of the initial sample and their margins.
+    ``q_rate``, ``alpha0`` and ``laplace_rhs`` are None when undefined for
+    the configuration (sigma = 0; tau = 0 or an unsupported initialization;
+    no sample mass in the ball of radius r); the reason is then recorded in
+    ``notes``.  ``wellprep`` holds the well-preparedness conditions of the
+    initial sample and their margins.
     """
 
     c: float
@@ -375,7 +381,7 @@ class TheoryReport:
     alpha0: Optional[float]
     b1: float
     b2: float
-    laplace_rhs: float
+    laplace_rhs: Optional[float]
     wellprep: WellPreparedness
     notes: tuple = ()
 
@@ -447,7 +453,7 @@ def build_theory_report(obj, params, x0, eps, tau, r=None, b_bound=None,
             float(dists.mean()), mass_r, params.alpha, q_lap, e_r, obj.eta, obj.nu
         )
     else:
-        lap = math.nan
+        lap = None
         notes.append("laplace bound skipped: no sample mass inside the ball")
 
     wp = wellprep_check(

@@ -97,9 +97,7 @@ class TestConfigErrors:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("route, path, value, named", [
-        ("fig_variance", ("fig_variance", "scale"), "x", "fig_variance.scale"),
-        ("fig_trajectories", ("fig_trajectories", "runs"), 2.7, "fig_trajectories.runs"),
-        ("fig_trajectories", ("fig_trajectories", "runs"), 1, "fig_trajectories.runs"),
+        ("fig_trajectories", ("--runs",), 1, "fig_trajectories.runs"),
         ("run", ("outputs",), 5, "outputs"),
         ("theory", ("theory", "eps"), "x", "theory.eps"),
         ("theory", ("theory", "r"), True, "theory.r"),
@@ -117,15 +115,16 @@ class TestConfigErrors:
         # in range, but more floats than any array holds
         ("theory", ("theory", "sample_n"), 2**62, "theory.sample_n"),
         ("mfa", ("mfa", "n_ref"), 2**62, "mfa.n_ref"),
-        ("fig_trajectories", ("fig_trajectories", "n"), 2**62, "fig_trajectories.n"),
+        ("fig_trajectories", ("--n",), 2**62, "fig_trajectories.n"),
         # an output directory that cannot be made: "taken" is a file
         *((route, ("outputs",), "taken", "outputs: cannot write taken")
-          for route in ("run", "fig_variance", "fig_trajectories", "theory", "mfa", "audit")),
+          for route in ("run", "theory", "mfa", "audit")),
+        *((route, ("--out",), "taken", "outputs: cannot write taken")
+          for route in ("fig_variance", "fig_trajectories")),
         # in range, but the trajectories they size hold more floats than any
         # array: rejected before a run starts
-        ("fig_trajectories", ("params", "steps"), 2**62, "fig_trajectories.runs * (steps + 1)"),
-        ("fig_trajectories", ("fig_trajectories", "runs"), 2**62,
-         "fig_trajectories.runs * (steps + 1)"),
+        ("fig_trajectories", ("--steps",), 2**62, "fig_trajectories.runs * (steps + 1)"),
+        ("fig_trajectories", ("--runs",), 2**62, "fig_trajectories.runs * (steps + 1)"),
         # replication seeds: checked before the reference run; 2**62 seeds
         # are never listed
         ("mfa", ("mfa", "n_seeds"), 0, "mfa.n_seeds"),
@@ -144,9 +143,8 @@ class TestConfigErrors:
          "init: box too wide"),
         ("theory", ("params", "lambda"), -1, "config error: params: lam must be >= 0"),
         ("mfa", ("init", "variance"), 0, "config error: init: variance must be positive"),
-        ("fig_variance", ("fig_variance", "scale"), 0, "fig_variance.scale: must lie in (0, 1]"),
-        ("run", ("preset",), "nope", "config error: preset: unknown preset 'nope'"),
-        # a flag preset's flags are bounded like the options of its block
+        ("fig_variance", ("--scale",), 0, "fig_variance.scale: must lie in (0, 1]"),
+        # the seed and steps flags are bounded like every option
         *((route, (f"--{flag}",), -1, f"{route}.{flag}: must be >= 0, got -1")
           for route in ("fig_variance", "fig_trajectories") for flag in ("seed", "steps")),
         # checked before the reference run, like the replication seeds
@@ -178,11 +176,15 @@ class TestConfigErrors:
         ("theory", ("theory", "sample"), 20, "theory.sample: unknown key"),
         ("mfa", ("mfa", "nref"), 800, "mfa.nref: unknown key"),
         ("audit", ("audit", "maxn"), 20, "audit.maxn: unknown key"),
-        ("fig_variance", ("fig_variance", "scales"), 0.5, "fig_variance.scales: unknown key"),
+        # the figure presets take flags: a config that names one, or holds
+        # the block of its options, is not run
+        ("run", ("preset",), "fig_variance", "config error: preset: unknown key"),
+        *(("run", (route,), {}, f"config error: {route}: unknown key")
+          for route in ("fig_variance", "fig_trajectories")),
         # a first seed in range whose runs' seeds pass 64 bits: rejected
         # before any run starts
         ("fig_trajectories", ("--seed",), 2**64 - 1,
-         "fig_trajectories.seed: the seeds 18446744073709551615..18446744073709551714 exceed"),
+         "fig_trajectories.seed: the seeds 18446744073709551615..18446744073709551616 exceed"),
         ("fig_variance", ("--seed",), 2**64 - 2,
          "fig_variance.seed: the seeds 18446744073709551614..18446744073709551617 exceed"),
         # an init vector whose length is not params.dim, named by its key
@@ -213,7 +215,7 @@ class TestConfigErrors:
                                 started.append(name) or work(*args, **kwargs))
         command, cfg = route_config(route, tmp_path)
         if path[:1] and path[0].startswith("--"):  # a flag on the command line, the last wins
-            argv = ["preset", route.replace("_", "-"), "--out", "out", path[0], str(value)]
+            argv = [*command, path[0], str(value)]
         else:
             if path:
                 parent = cfg
@@ -260,17 +262,13 @@ class TestConfigErrors:
         (tmp_path / "out").write_text("a file\n")
         monkeypatch.setattr(engine, "sample_initial", None)  # a run would fail on it
         command, cfg = route_config(route, tmp_path)
-        del cfg["outputs"]
-        argv = ["preset", "fig-variance"] if route == "fig_variance" else [
-            *command, write_config(tmp_path, cfg)]
+        if cfg is None:  # flags: the same command without --out
+            argv = command[:-2]
+        else:
+            del cfg["outputs"]
+            argv = [*command, write_config(tmp_path, cfg)]
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert "outputs: cannot write out" in capsys.readouterr().err
-
-    def test_fig_variance_scale_flag_names_key(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        assert cli.main(["preset", "fig-variance", "--scale", "0", "--out", str(out)]) == 2
-        assert "fig_variance.scale" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_out_of_memory_exit_2(self, tmp_path, capsys, monkeypatch):
         # an allocation that fails; no test asks for a real huge array
@@ -285,14 +283,14 @@ class TestConfigErrors:
 
 def route_config(route, tmp_path):
     """A valid small config for one route of the CLI, writing to
-    ``tmp_path / "out"``, and the command that takes it."""
+    ``tmp_path / "out"``, and the command that takes it; for a preset that
+    takes flags, the whole command, ending in ``--out``, and None."""
     cfg = base_config(tmp_path)
     if route == "run":
         return ["run"], cfg
-    if route == "fig_variance":
-        return ["run"], dict(cfg, preset=route, fig_variance={"scale": 0.0001})
-    if route == "fig_trajectories":
-        return ["run"], dict(cfg, preset=route, fig_trajectories={"runs": 2, "n": 10})
+    if route in ("fig_variance", "fig_trajectories"):
+        sizes = ["--scale", "0.0001"] if route == "fig_variance" else ["--runs", "2", "--n", "10"]
+        return ["preset", route.replace("_", "-"), *sizes, "--out", cfg["outputs"]], None
     if route == "theory":
         theory = {"eps": 0.01, "tau": 0.1, "r": 0.5, "b_bound": 1.0, "q_laplace": 0.01,
                   "sample_n": 20}
@@ -416,6 +414,15 @@ class TestRun:
         assert "fitted_v_decay_rate = " in text
         assert "config_digest = " in text
 
+    def test_fit_over_times_too_close_is_unavailable(self, tmp_path):
+        # at dt = 1e-308 the times' squared spread underflows to 0: the fit
+        # is unavailable, not 0 / 0 = nan
+        cfg = base_config(tmp_path)
+        cfg["params"]["dt"] = 1e-308
+        assert cli.main(["run", write_config(tmp_path, cfg)]) == 0
+        text = (tmp_path / "out" / "summary.txt").read_text()
+        assert "fitted_v_decay_rate = unavailable (no slope" in text
+
     def test_divergence_exit_3_with_partial_series(self, tmp_path):
         cfg = base_config(tmp_path)
         cfg["init"] = {"kind": "uniform", "lo": [1e149], "hi": [1e150]}
@@ -468,6 +475,22 @@ class TestTheoryCommand:
         else:
             text = (tmp_path / "out" / "theory.txt").read_text()
             assert q in text and "nan" not in text
+
+    @pytest.mark.parametrize("block, key, value", [
+        ("params", "sigma", 1e-170),
+        ("theory", "r", 1e-323),
+    ])
+    def test_value_whose_square_underflows(self, tmp_path, block, key, value):
+        # sigma^2 or (1 - c)^2 r rounds to 0: q is inf, not a division by
+        # zero; a ball of radius 1e-323 holds no sample point, so the
+        # Laplace bound is undefined, not nan
+        cfg = json.loads((CONFIGS / "run_rastrigin.json").read_text())
+        cfg[block][key] = value
+        cfg["theory"]["sample_n"] = 2000
+        cfg["outputs"] = str(tmp_path / "out")
+        assert cli.main(["theory", write_config(tmp_path, cfg)]) == cli.EXIT_OK
+        text = (tmp_path / "out" / "theory.txt").read_text()
+        assert "\nq = inf\n" in text and "nan" not in text
 
     @pytest.mark.parametrize("sample_n", [1, 5, 9])
     def test_sample_smaller_than_ball_point_count(self, tmp_path, sample_n):
@@ -681,18 +704,3 @@ class TestChordDeviation:
             cli.chord_deviation(pts, start, target), 0.25
         )
 
-
-def test_run_config_with_preset_dispatch(tmp_path):
-    cfg = {
-        "objective": {"name": "rastrigin", "dim": 1},
-        "init": {"kind": "gaussian", "mean": [1.0], "variance": 0.8},
-        "params": {
-            "lambda": 1.0, "sigma": 0.5, "alpha": 1e15, "dt": 0.01,
-            "steps": 20, "n_particles": 100, "dim": 1, "seed": 2,
-        },
-        "outputs": str(tmp_path / "fv"),
-        "preset": "fig_variance",
-        "fig_variance": {"scale": 0.0005},
-    }
-    assert cli.main(["run", write_config(tmp_path, cfg)]) == 0
-    assert (tmp_path / "fv" / "mu1" / "metrics.csv").exists()

@@ -171,6 +171,13 @@ class TestFitDecayRate:
         with pytest.raises(InvalidInputError):
             metrics.fit_decay_rate([0.0, 1.0], [1.0, 0.5], (0.0, 1.0))
 
+    @pytest.mark.parametrize("t", [[0.0, 0.0, 0.0], [0.0, 1e-308, 2e-308]])
+    def test_needs_a_spread_of_times(self, t):
+        # equal times, or times whose squared spread underflows to 0, give
+        # no slope: 0 / 0 would be NaN
+        with pytest.raises(InvalidInputError, match="no slope"):
+            metrics.fit_decay_rate(t, [1.0, 0.5, 0.25], (0.0, 1.0))
+
     @pytest.mark.parametrize("t, y", [([0.0, 0.1, 0.2], [1.0, 0.5]),
                                       ([[0.0, 0.1, 0.2]], [[1.0, 0.5, 0.2]])])
     def test_needs_1d_arrays_of_one_length(self, t, y):

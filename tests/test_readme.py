@@ -1,8 +1,12 @@
 """README.md's Python blocks run, in order, in one namespace, as a reader
-pasting them into one session would run them."""
+pasting them into one session would run them; its run config parses, and
+its list of top-level keys is the one the config reader checks."""
 
+import json
 import re
 from pathlib import Path
+
+from cbo import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -13,3 +17,17 @@ def test_python_blocks_run():
     namespace = {}
     for i, block in enumerate(blocks):
         exec(compile(block, f"README.md python block {i}", "exec"), namespace)
+
+
+def test_json_run_config_parses():
+    blocks = re.findall(r"^```json\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        raw = json.loads(block)
+        assert set(raw) <= set(cli._TOP_LEVEL_KEYS)
+        cli.parse_run_config(raw)
+
+
+def test_top_level_keys_listed():
+    sentence = re.search(r"The top level of a config takes (.*?);", README.read_text(), re.S)
+    assert re.findall(r"`(\w+)`", sentence[1]) == list(cli._TOP_LEVEL_KEYS)

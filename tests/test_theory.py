@@ -56,6 +56,11 @@ class TestDecayRateQ:
         np.testing.assert_allclose(first, expected, rtol=1e-12)
         assert sc  # silence linters
 
+    @pytest.mark.parametrize("sigma, r", [(1e-170, 1.0), (5e-324, 1.0), (0.5, 5e-324)])
+    def test_square_underflows(self, sigma, r):
+        # sigma^2 or (1 - c)^2 r underflows to 0: q is inf, not a ZeroDivisionError
+        assert theory.decay_rate_q(1.0, sigma, 1, 0.75, r, 1.0) == math.inf
+
     def test_sigma_zero_raises(self):
         with pytest.raises(InfiniteRateError):
             theory.decay_rate_q(1.0, 0.0, 1, 0.75, 1.0, 0.0)
@@ -124,6 +129,14 @@ class TestMollifier:
                     -2.0 * d / r**2,
                     rtol=1e-12,
                 )
+
+    def test_gap_square_overflows(self):
+        # at r = 1e100 the gap r^2 - s is 1e200, whose square overflows:
+        # both derivatives tend to 0, not to an OverflowError or NaN
+        v, vstar = np.array([0.5]), np.zeros(1)
+        grad = theory.mollifier_grad(v, vstar, 1e100)
+        lap = theory.mollifier_laplacian(v, vstar, 1e100)
+        assert -1e-199 < grad[0] < 0 and -1e-199 < lap < 0
 
     @pytest.mark.parametrize("d", [1, 2, 5])
     def test_derivatives_match_finite_differences(self, d):
@@ -230,6 +243,16 @@ class TestAlpha0:
         with pytest.raises(UnsupportedInitializationError):
             theory.alpha0_estimate(0.8, 1.0, 0.1, 1.0, lambda r: 0.0)
 
+    def test_eta_square_overflows(self):
+        # eta^2 = inf: the ball is the whole space and alpha0 tends to 0
+        assert theory.alpha0_estimate(0.8, 1e200, 0.1, 1.0, lambda r: 0.01) == 0.0
+
+    @pytest.mark.parametrize("sigma", [1e-170, 5e-324])
+    def test_c_constant_sigma_square_underflows(self, sigma):
+        # sigma^2 = 0: the noise branch is infinite, so the drift branch sets c
+        c = theory.alpha0_c_constant(0.5, 1.0, sigma, 1)
+        np.testing.assert_allclose(c, (0.5 * 2.0 / (2 * math.sqrt(2))) ** 2, rtol=1e-12)
+
     def test_c_constant_uses_smaller_branch(self):
         # drift-dominated branch: first term smaller
         c = theory.alpha0_c_constant(0.5, 1.0, 0.5, 1)
@@ -255,6 +278,12 @@ class TestWellPrep:
         wp = theory.wellprep_check(1e308, 1.0, 0.5, 0.0, np.array([0.0, 2.0, 3.0]), 0.1, 1)
         assert wp.margin1 == -math.inf and not wp.cond1
         assert math.isfinite(wp.margin2) and math.isfinite(wp.var_bound_margin)
+
+    def test_sigma_square_overflows(self):
+        # sigma^2 = inf: both conditions fail by an infinite margin
+        wp = theory.wellprep_check(1.0, 1.0, 1e200, 0.0, np.array([0.0, 1.0]), 0.5, 1)
+        assert wp.margin1 == wp.margin2 == -math.inf
+        assert math.isfinite(wp.var_bound_margin)
 
     def test_condition2_zero_variance_reduces(self):
         energies = np.array([0.5, 1.0, 2.0])
@@ -290,6 +319,15 @@ class TestEvolutionRhs:
         )
         np.testing.assert_allclose(with_h - base, 0.08, rtol=1e-12)
 
+    @pytest.mark.parametrize("v, cons_dist, lam, sigma, h_active", [
+        (1.0, 1.0, 1.0, 1e200, None),
+        (1.0, 1e200, 1.0, 0.5, None),
+        (1.0, 1.0, 1.0, 0.5, (1e-200, 0.5, 1.0, 0.0)),
+    ])
+    def test_square_overflows(self, v, cons_dist, lam, sigma, h_active):
+        # sigma^2, D^2 or 1 / eta^2 past the float range: +inf, not an OverflowError
+        assert theory.evolution_rhs(v, cons_dist, lam, sigma, 1, h_active) == math.inf
+
     def test_strictly_negative_when_contractive(self):
         rng = np.random.default_rng(18)
         for _ in range(300):
@@ -306,6 +344,9 @@ class TestBConstants:
 
     def test_bounded_degenerate(self):
         assert theory.b_constants(1.0, 1.0, 1.0, 1.0, bounded=(3.0, 3.0)) == (0.0, 1.0)
+
+    def test_c4_square_overflows(self):
+        assert theory.b_constants(1.0, 1.0, 1.0, 1e200) == (math.inf, 2.0)
 
     def test_large_alpha_limit(self):
         b1, b2 = theory.b_constants(1e12, 3.0, 2.0, 1.5)
@@ -444,7 +485,7 @@ class TestReport:
         rep = theory.build_theory_report(obj, params, x0, eps=0.01, tau=0.0, r=1e-12)
         assert rep.alpha0 is None
         assert "alpha0 undefined for tau = 0" in rep.notes
-        assert math.isnan(rep.laplace_rhs)
+        assert rep.laplace_rhs is None
         assert "laplace bound skipped: no sample mass inside the ball" in rep.notes
 
     def test_report_notes_alpha0_without_initial_mass(self):
