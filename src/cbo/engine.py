@@ -19,7 +19,9 @@ array with the same arithmetic, bit for bit, as R separate (n, d) runs.
 
 ``states`` takes each state through three layers, one call each: its
 energies, its consensus point and the step.  Only the energy layer calls
-the objective, the ramp's E(c) included.  At large alpha nearly every
+the objective, the ramp's E(c) included.  With H = 1 the consensus layer
+writes the weights over the energies, so a state carries its positions and
+one array of a float per particle.  At large alpha nearly every
 consensus weight rounds to exactly zero; for an objective with a ``floor``
 (an exact lower bound of its energy), the energy layer then evaluates the
 objective only on the rows whose weight can be nonzero, and the consensus
@@ -351,14 +353,14 @@ def _energies(obj, x, e, step, seeds, blocks):
     return functools.reduce(np.minimum, mins)
 
 
-def _screened_energies(obj, x, e, alpha, w, step, seeds, blocks):
+def _screened_energies(obj, x, e, alpha, step, seeds, blocks):
     """The flat indices (over ``e.reshape(-1)``) of the rows of the
     positions ``x`` that can be their replication's minimum or carry a
     nonzero weight, with their energies written into ``e``; every other
-    row's floor is written there, one row block of ``blocks`` at a time.
-    ``w`` (shaped like ``e``) is the cutoff test's workspace.  If a floor
-    is not finite, no energy is evaluated and None is returned: the caller
-    then evaluates every row (``_energies``).
+    row's floor is written there.  The floors and the cutoff test run one
+    row block of ``blocks`` at a time.  If a floor is not finite, no energy
+    is evaluated and None is returned: the caller then evaluates every row
+    (``_energies``).
 
     Let u be the energy of a replication's row of smallest floor.  A row
     with -alpha (floor - u) <= _EXP_ZERO_BELOW has E >= floor > u >= E_min:
@@ -372,11 +374,16 @@ def _screened_energies(obj, x, e, alpha, w, step, seeds, blocks):
     first = e.reshape(-1, n).argmin(axis=-1) + np.arange(0, ef.size, n)
     with np.errstate(over="ignore", invalid="ignore"):
         u = np.asarray(obj.eval(xf[first]), dtype=float)
-    # the cutoff test in the operation order of _weights
-    np.subtract(e, u.reshape(e.shape[:-1] + (1,)), out=w)
-    with np.errstate(over="ignore"):  # -inf, as in _weights
-        w *= -alpha
-    candidate = w.reshape(-1) > _EXP_ZERO_BELOW
+    # the cutoff test in the operation order of _weights, one block at a
+    # time, so that its arguments take no array of n floats
+    u_col = u.reshape(e.shape[:-1] + (1,))
+    candidate = np.empty(e.shape, dtype=bool)
+    for s in blocks:
+        arg = np.subtract(e[..., s], u_col)
+        with np.errstate(over="ignore"):  # -inf, as in _weights
+            arg *= -alpha
+        np.greater(arg, _EXP_ZERO_BELOW, out=candidate[..., s])
+    candidate = candidate.reshape(-1)
     candidate[first] = False  # evaluated already
     rest = np.flatnonzero(candidate)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -429,7 +436,7 @@ def _weighted_consensus(x, energies, emin, alpha, w=None):
     return _weighted_mean(x, _weights(energies, emin, alpha, out=w))
 
 
-def _screened_consensus(x, e, rows, alpha, w):
+def _screened_consensus(x, e, rows, alpha):
     """The consensus point of a screened state and its count of nonzero
     weights, from the energies ``e`` of only the evaluated ``rows`` (flat
     indices from ``_screened_energies``): every other row's weight is
@@ -440,7 +447,7 @@ def _screened_consensus(x, e, rows, alpha, w):
     a zero result.  So where each replication has at most two nonzero
     weights and no component of a weighted sum is zero, the weighted mean
     is taken over those terms alone, bitwise the whole-array reductions.
-    Otherwise the weights are scattered into ``w``, zero elsewhere, and
+    Otherwise the weights are scattered into ``e``, zero elsewhere, and
     reduced over every row like a state evaluated in full."""
     n, d = x.shape[-2:]
     reps = e.size // n
@@ -456,9 +463,9 @@ def _screened_consensus(x, e, rows, alpha, w):
         if num.all():
             np.add.at(den, rep[nz], wr[nz])
             return (num / den[:, None]).reshape(x.shape[:-2] + (d,)), nz.size
-    w.fill(0.0)
-    w.reshape(-1)[rows] = wr
-    return _weighted_mean(x, w), nz.size
+    e.fill(0.0)
+    e.reshape(-1)[rows] = wr
+    return _weighted_mean(x, e), nz.size
 
 
 def consensus_point(x, energies, alpha):
@@ -540,8 +547,11 @@ def states(x, obj, params, noise, consensus=None):
     weights and no weighted sum is zero.  A ramp H's E(c) is evaluated just
     before the step that reads it.
 
-    Of the ensemble's size, a state carries only its positions, energies
-    and weights; the consensus makes the weighted positions as a temporary.
+    Of the ensemble's size, a state carries only its positions and its
+    energies, which with ``ConstOne`` its weights overwrite: nothing reads
+    them after the weights.  A ramp H keeps its weights in a second array,
+    since its step reads the energies.  The consensus makes the weighted
+    positions as a temporary.
     The step works in place, in a workspace that lives until the last
     state, and draws each row block's increments just before it reads them,
     from ``noise.increments(k, rows, dim, dt)`` (two iterators stepping one
@@ -563,7 +573,9 @@ def states(x, obj, params, noise, consensus=None):
         consensus = np.asarray(consensus, dtype=float)
     const_one = isinstance(params.h_variant, ConstOne)
     e = np.empty(x.shape[:-1]) if free or not const_one else None
-    w = np.empty(x.shape[:-1]) if free else None  # the weights
+    # the weights; with ConstOne nothing reads a state's energies after its
+    # weights, which overwrite them
+    w = (e if const_one else np.empty(x.shape[:-1])) if free else None
     screening = free and const_one and obj.floor is not None
     screen = False  # state 0 is evaluated in full
     for k in range(params.steps + 1):
@@ -584,7 +596,7 @@ def states(x, obj, params, noise, consensus=None):
             _step(x, new, params, c, e, e_c, noise, k - 1, blocks)
             x = new
         # a screened state's evaluated rows; None where every row was evaluated
-        rows = (_screened_energies(obj, x, e, params.alpha, w, k, noise.seeds, blocks)
+        rows = (_screened_energies(obj, x, e, params.alpha, k, noise.seeds, blocks)
                 if screen else None)
         if rows is None and e is not None:
             emin = _energies(obj, x, e, k, noise.seeds, blocks)
@@ -597,7 +609,7 @@ def states(x, obj, params, noise, consensus=None):
                 # zero, and counting them is cheaper than counting floats
                 nonzero = np.count_nonzero(w.view(np.int64))
             else:
-                c, nonzero = _screened_consensus(x, e, rows, params.alpha, w)
+                c, nonzero = _screened_consensus(x, e, rows, params.alpha)
             screen = screening and nonzero <= _SCREEN_SHARE * w.size
         if k == params.steps:
             # the last state holds only its positions

@@ -53,6 +53,15 @@ __all__ = [
 ]
 
 
+def _power(base, exponent):
+    """base ** exponent for base >= 0, or +inf where the power passes the
+    float range and ** raises OverflowError."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
+
+
 # ---------------------------------------------------------------------------
 # constants of the mass lower bound
 
@@ -123,7 +132,8 @@ def mollifier(v, vstar, r):
         phi_r(v) = exp(1 - r^2 / (r^2 - ||v - v*||^2))   for ||v - v*|| < r,
                    0                                     otherwise.
 
-    Accepts a single point (dim,) or a batch (n, dim).
+    Accepts a single point (dim,) or a batch (n, dim).  Where r^2
+    overflows, phi_r is its limit as r -> inf: 1 at every finite distance.
     """
     if not r > 0:
         raise InvalidInputError(f"radius must be positive, got {r}")
@@ -131,8 +141,11 @@ def mollifier(v, vstar, r):
     diff = v - np.asarray(vstar, dtype=float)
     s = _row_sums(diff * diff)
     inside = s < r * r
-    gap = np.where(inside, r * r - s, 1.0)  # placeholder 1.0 avoids 0-division
-    out = np.where(inside, np.exp(1.0 - r * r / gap), 0.0)
+    if r * r == math.inf:  # r^2 / (r^2 - s) -> 1, where inf / inf is NaN
+        out = np.where(inside, 1.0, 0.0)
+    else:
+        gap = np.where(inside, r * r - s, 1.0)  # placeholder 1.0 avoids 0-division
+        out = np.where(inside, np.exp(1.0 - r * r / gap), 0.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -145,9 +158,10 @@ def _radial_parts(v, vstar, r):
 
 def mollifier_grad(v, vstar, r):
     """Gradient of the mollifier: -2 r^2 (v - v*) / (r^2 - ||v - v*||^2)^2 * phi_r(v),
-    and the zero vector outside the open ball."""
+    and the zero vector outside the open ball and where r^2 overflows (the
+    limit as r -> inf)."""
     diff, s = _radial_parts(v, vstar, r)
-    if s >= r * r:
+    if s >= r * r or r * r == math.inf:
         return np.zeros_like(diff)
     gap = r * r - s  # a division by gap twice: gap^2 may overflow
     return -2.0 * r * r * diff / gap / gap * mollifier(v, vstar, r)
@@ -158,10 +172,11 @@ def mollifier_laplacian(v, vstar, r):
 
         2 r^2 * [2 (2 s - r^2) s - d (r^2 - s)^2] / (r^2 - s)^4 * phi_r(v)
 
-    with s = ||v - v*||^2, and 0 outside the open ball.
+    with s = ||v - v*||^2, and 0 outside the open ball and where r^2
+    overflows (the limit as r -> inf).
     """
     diff, s = _radial_parts(v, vstar, r)
-    if s >= r * r:
+    if s >= r * r or r * r == math.inf:
         return 0.0
     d = diff.shape[-1]
     gap = r * r - s
@@ -183,6 +198,7 @@ def laplace_bound(first_moment, mass_r, alpha, q, e_r, eta, nu):
     where E_r bounds the objective gap on the ball carrying mass ``mass_r``
     and ``first_moment`` is the mean distance to the minimizer.  Feasibility
     (r <= R0 and q + E_r <= the farfield floor) is the caller's contract.
+    A power past the float range is +inf.
     """
     if mass_r == 0:
         raise EmptyBallError("no mass inside the ball: the bound is vacuous")
@@ -190,7 +206,7 @@ def laplace_bound(first_moment, mass_r, alpha, q, e_r, eta, nu):
         raise InvalidInputError(f"mass_r must lie in (0, 1], got {mass_r}")
     if alpha < 0 or not q > 0:
         raise InvalidInputError("need alpha >= 0 and q > 0")
-    return (q + e_r) ** nu / eta + math.exp(-alpha * q) * first_moment / mass_r
+    return _power(q + e_r, nu) / eta + math.exp(-alpha * q) * first_moment / mass_r
 
 
 def t_star(v0, eps, tau, lam, sigma, d):
@@ -311,7 +327,8 @@ def evolution_rhs(v, cons_dist, lam, sigma, d, h_active=None):
 
     with D the consensus-to-minimizer distance.  When the drift cutoff is
     active, ``h_active = (eta, nu, l_e, gamma)`` adds the extra term
-    (lam / eta^2) (l_e (1 + D^gamma) D)^(2 nu).
+    (lam / eta^2) (l_e (1 + D^gamma) D)^(2 nu), +inf where a power of it
+    passes the float range.
     """
     if v < 0 or cons_dist < 0:
         raise InvalidInputError("v and cons_dist must be >= 0")
@@ -323,9 +340,8 @@ def evolution_rhs(v, cons_dist, lam, sigma, d, h_active=None):
     )
     if h_active is not None:
         eta, nu, l_e, gamma = h_active
-        val += (lam / eta / eta) * (l_e * (1.0 + cons_dist**gamma) * cons_dist) ** (
-            2.0 * nu
-        )
+        base = l_e * (1.0 + _power(cons_dist, gamma)) * cons_dist
+        val += (lam / eta / eta) * _power(base, 2.0 * nu)
     return val
 
 

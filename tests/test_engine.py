@@ -639,33 +639,77 @@ class TestMemory:
     """``states`` keeps no array of the ensemble's size beyond what a state
     carries across its layers."""
 
-    @pytest.mark.parametrize("dim", [1, 2])
-    @pytest.mark.parametrize("seeds", [5, [5, 6, 7]])
-    def test_peak_is_positions_energies_weights(self, monkeypatch, dim, seeds):
-        # above state 0 (the caller's, allocated before tracing): the
-        # positions workspace, the energies, the weights and the weighted
-        # positions while the consensus sums them, four arrays of n rows at
-        # d = 1 (six at the parent, with the step's whole noise buffer and a
-        # weighted-positions workspace).  Beside them: numpy's ufunc buffer,
-        # which the weights broadcast over d > 1 columns go through, and
-        # per-block temporaries and slices
+    def peak(self, monkeypatch, x0, obj, params, seeds):
+        """The traced peak of stepping ``x0`` (allocated before tracing)
+        through every state, in row blocks of 64 rows."""
         monkeypatch.setattr(metrics, "BLOCK_ROWS", 64)
-        n = 2560
-        p = engine.CboParams(lam=1.0, sigma=0.5, alpha=30.0, dt=0.01, steps=2,
-                             n_particles=n, dim=dim, seed=5)
-        x0 = engine.sample_initial(engine.GaussianIsotropic((1.0,) * dim, 0.8), n, dim, seeds)
-        run = engine.states(x0, objectives.rastrigin(dim), p, engine.NoiseSource(seeds))
+        run = engine.states(x0, obj, params, engine.NoiseSource(seeds))
         tracemalloc.start()
         try:
             for _ in run:
                 pass
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        carried = 2 * x0.nbytes + 2 * (x0.nbytes // dim)
+
+    @staticmethod
+    def slack(x0):
+        """Beside the arrays of n rows: numpy's ufunc buffer, which the
+        weights broadcast over d > 1 columns go through, and per-block
+        temporaries and slices."""
+        dim = x0.shape[-1]
         ufunc_buffer = min(x0.size, np.getbufsize()) * 8 if dim > 1 else 0
-        per_block = 128 * len(metrics.row_blocks(x0.shape)) + 16 * 1024
-        assert peak <= carried + ufunc_buffer + per_block
+        return ufunc_buffer + 128 * len(metrics.row_blocks(x0.shape)) + 16 * 1024
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("seeds", [5, [5, 6, 7]])
+    def test_peak_is_positions_energies_weights(self, monkeypatch, dim, seeds):
+        # above state 0 (the caller's, allocated before tracing), with
+        # H = 1: the positions workspace, the weighted positions while the
+        # consensus sums them, and one per-row array, which holds the
+        # energies and then the weights that overwrite them (separate
+        # energies and weights would make four arrays of n rows)
+        n = 2560
+        p = engine.CboParams(lam=1.0, sigma=0.5, alpha=30.0, dt=0.01, steps=2,
+                             n_particles=n, dim=dim, seed=5)
+        x0 = engine.sample_initial(engine.GaussianIsotropic((1.0,) * dim, 0.8), n, dim, seeds)
+        peak = self.peak(monkeypatch, x0, objectives.rastrigin(dim), p, seeds)
+        assert peak <= 2 * x0.nbytes + x0.nbytes // dim + self.slack(x0)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_ramp_keeps_energies_beside_weights(self, monkeypatch, dim):
+        # the ramp's step reads the energies after the weights are made,
+        # so a state carries both: four arrays of n rows above state 0
+        n = 2560
+        p = engine.CboParams(lam=1.0, sigma=0.5, alpha=30.0, dt=0.01, steps=2,
+                             n_particles=n, dim=dim, h_variant=engine.RampHeaviside(0.5),
+                             seed=5)
+        x0 = engine.sample_initial(engine.GaussianIsotropic((1.0,) * dim, 0.8), n, dim, 5)
+        peak = self.peak(monkeypatch, x0, objectives.rastrigin(dim), p, 5)
+        assert peak <= 2 * x0.nbytes + 2 * (x0.nbytes // dim) + self.slack(x0)
+
+    @pytest.mark.parametrize("seeds", [5, [5, 6, 7]])
+    def test_screened_state_adds_only_its_mask(self, monkeypatch, seeds):
+        # at alpha = 1e15 every state after the first is screened; its
+        # cutoff test runs one row block at a time into a bool mask of n
+        # rows, so above state 0 the peak is the positions workspace (the
+        # weighted positions at state 0), the per-row array and that mask
+        # (a whole-array test would add an array of n floats)
+        n = 20000
+        p = engine.CboParams(lam=1.0, sigma=0.5, alpha=1e15, dt=0.01, steps=3,
+                             n_particles=n, dim=1, seed=5)
+        x0 = engine.sample_initial(engine.GaussianIsotropic((1.0,), 0.8), n, 1, seeds)
+        screened, consensus = [], engine._screened_consensus
+
+        def spy(*args):
+            screened.append(1)
+            return consensus(*args)
+
+        monkeypatch.setattr(engine, "_screened_consensus", spy)
+        peak = self.peak(monkeypatch, x0, objectives.rastrigin(1), p, seeds)
+        assert len(screened) == p.steps
+        # at d = 1 the per-row array is x0.nbytes, and the mask x0.size bytes
+        assert peak <= 2 * x0.nbytes + x0.size + self.slack(x0)
 
 
 def row_counting(obj, rows, poison=None):

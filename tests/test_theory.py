@@ -138,6 +138,21 @@ class TestMollifier:
         lap = theory.mollifier_laplacian(v, vstar, 1e100)
         assert -1e-199 < grad[0] < 0 and -1e-199 < lap < 0
 
+    def test_radius_square_overflows(self):
+        # past r ~ 1.3e154 r^2 is inf and r^2 / (r^2 - s) would be inf / inf:
+        # the limits as r -> inf, phi = 1 and both derivatives 0, with no
+        # warning (pytest makes a RuntimeWarning an error)
+        v, vstar = np.array([0.5]), np.zeros(1)
+        assert theory.mollifier(v, vstar, 1e200) == 1.0
+        assert theory.mollifier(np.array([[0.5], [-3.0]]), vstar, 1e200).tolist() == [1.0, 1.0]
+        assert np.array_equal(theory.mollifier_grad(v, vstar, 1e200), np.zeros(1))
+        assert theory.mollifier_laplacian(v, vstar, 1e200) == 0.0
+
+    def test_finite_radius_square_unchanged(self):
+        # just below the overflow, phi_r is still exp(1 - r^2 / (r^2 - s))
+        v, vstar, r = np.array([0.5]), np.zeros(1), 1e154
+        assert theory.mollifier(v, vstar, r) == math.exp(1.0 - r * r / (r * r - 0.25))
+
     @pytest.mark.parametrize("d", [1, 2, 5])
     def test_derivatives_match_finite_differences(self, d):
         # gradient step 1e-6 r; the second difference needs a larger step
@@ -194,6 +209,10 @@ class TestLaplaceBound:
     def test_empty_ball(self):
         with pytest.raises(EmptyBallError):
             theory.laplace_bound(1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.5)
+
+    def test_power_overflows(self):
+        # (q + E_r)^nu past the float range: +inf, not an OverflowError
+        assert theory.laplace_bound(1.0, 0.5, 1.0, 1e300, 1e300, 1.0, 1.5) == math.inf
 
 
 class TestTStar:
@@ -323,9 +342,12 @@ class TestEvolutionRhs:
         (1.0, 1.0, 1.0, 1e200, None),
         (1.0, 1e200, 1.0, 0.5, None),
         (1.0, 1.0, 1.0, 0.5, (1e-200, 0.5, 1.0, 0.0)),
+        (1.0, 1e200, 1.0, 0.5, (1.0, 0.5, 1.0, 2.0)),
+        (1.0, 1e100, 1.0, 0.5, (1.0, 2.0, 1.0, 1.0)),
     ])
     def test_square_overflows(self, v, cons_dist, lam, sigma, h_active):
-        # sigma^2, D^2 or 1 / eta^2 past the float range: +inf, not an OverflowError
+        # sigma^2, D^2, 1 / eta^2, D^gamma or (l_e (1 + D^gamma) D)^(2 nu)
+        # past the float range: +inf, not an OverflowError
         assert theory.evolution_rhs(v, cons_dist, lam, sigma, 1, h_active) == math.inf
 
     def test_strictly_negative_when_contractive(self):
