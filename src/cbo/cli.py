@@ -441,8 +441,8 @@ def preset_fig_trajectories(out_dir, runs, n, seed, steps):
 
     def run_batch(seeds):
         traj = np.empty((len(seeds), steps + 1, len(tracked), 2))
-        # each replication's sample with the tracked agents appended; no
-        # reference to state 0 outlives the iterator's own
+        # each replication's sample with the tracked agents appended, which
+        # nothing holds once the iterator has copied it at its first next
         agents = np.broadcast_to(tracked, (len(seeds), *tracked.shape))
         run = engine.states(np.concatenate([engine.sample_initial(dist, n, 2, seeds), agents],
                                            axis=1),

@@ -19,13 +19,16 @@ array with the same arithmetic, bit for bit, as R separate (n, d) runs.
 
 ``states`` takes each state through three layers, one call each: its
 energies, its consensus point and the step.  Only the energy layer calls
-the objective, the ramp's E(c) included.  With H = 1 the consensus layer
-writes the weights over the energies, so a state carries its positions and
-one array of a float per particle.  At large alpha nearly every
-consensus weight rounds to exactly zero; for an objective with a ``floor``
-(an exact lower bound of its energy), the energy layer then evaluates the
-objective only on the rows whose weight can be nonzero, and the consensus
-layer takes E_min and the weights from those rows alone.
+the objective, the ramp's E(c) included.  The step works in place in the
+iterator's own copy of state 0, so the caller's array is never written.
+Each state's energy layer makes one array of a float per particle; with
+H = 1 the consensus layer writes the weights over the energies and then
+drops them, so between states only the positions are held.  At large
+alpha nearly every consensus weight rounds to exactly zero; for an
+objective with a ``floor`` (an exact lower bound of its energy), the
+energy layer then evaluates the objective only on the rows whose weight
+can be nonzero, and the consensus layer takes E_min and the weights from
+those rows alone.
 
 A sum is reduced over the rows it names only where no order of the sum is
 left to choose: a float sum in which at most two terms are nonzero and the
@@ -38,7 +41,6 @@ consensus stays bitwise that of every row's energy.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -347,10 +349,15 @@ def _energies(obj, x, e, step, seeds, blocks):
     """Energies of the positions ``x`` into ``e``, evaluated one row block
     of ``blocks`` at a time, and their minimum per replication, (1,) or
     (R, 1)."""
-    mins = [_eval_rows(obj.eval, x[..., s, :], e, s) for s in blocks]
-    if any(m is None for m in mins):
+    emin, finite = np.inf, True
+    for s in blocks:  # every block, so that an error names the first bad row
+        m = _eval_rows(obj.eval, x[..., s, :], e, s)
+        finite = finite and m is not None
+        if finite:
+            emin = np.minimum(emin, m)
+    if not finite:
         raise _nonfinite_energy(e, step, seeds)
-    return functools.reduce(np.minimum, mins)
+    return emin
 
 
 def _screened_energies(obj, x, e, alpha, step, seeds, blocks):
@@ -366,8 +373,9 @@ def _screened_energies(obj, x, e, alpha, step, seeds, blocks):
     with -alpha (floor - u) <= _EXP_ZERO_BELOW has E >= floor > u >= E_min:
     it is not the minimum, and ``_weights`` turns its floor, like its
     energy, into exactly +0.0.  Each row is evaluated at most once."""
-    # every block's floor before the test, like every block's energy
-    if any([_eval_rows(obj.floor, x[..., s, :], e, s) is None for s in blocks]):
+    # every block's floor before the test, like every block's energy: a
+    # sum, unlike any(), reads every block, and keeps none of their minima
+    if sum(_eval_rows(obj.floor, x[..., s, :], e, s) is None for s in blocks):
         return None
     n, d = x.shape[-2:]
     xf, ef = x.reshape(-1, d), e.reshape(-1)  # views of the engine's workspace
@@ -375,17 +383,24 @@ def _screened_energies(obj, x, e, alpha, step, seeds, blocks):
     with np.errstate(over="ignore", invalid="ignore"):
         u = np.asarray(obj.eval(xf[first]), dtype=float)
     # the cutoff test in the operation order of _weights, one block at a
-    # time, so that its arguments take no array of n floats
+    # time, so that neither its arguments nor its mask take an array of n
+    # rows: the candidates of each block that has any, as flat indices
     u_col = u.reshape(e.shape[:-1] + (1,))
-    candidate = np.empty(e.shape, dtype=bool)
+    found = [first[:0]]  # an empty index array, for a state with no candidate
     for s in blocks:
         arg = np.subtract(e[..., s], u_col)
         with np.errstate(over="ignore"):  # -inf, as in _weights
             arg *= -alpha
-        np.greater(arg, _EXP_ZERO_BELOW, out=candidate[..., s])
-    candidate = candidate.reshape(-1)
-    candidate[first] = False  # evaluated already
-    rest = np.flatnonzero(candidate)
+        at = np.flatnonzero(arg > _EXP_ZERO_BELOW)
+        if at.size:
+            if e.ndim > 1:  # (replication, row of the block) of a batch
+                rep, at = np.divmod(at, s.stop - s.start)
+                at += rep * n
+            found.append(at + s.start)
+    rest = np.concatenate(found)
+    if e.ndim > 1:  # found block by block: in flat order once sorted
+        rest.sort()
+    rest = rest[rest != first[rest // n]]  # evaluated already
     with np.errstate(over="ignore", invalid="ignore"):
         er = np.concatenate([u, np.asarray(obj.eval(xf[rest]), dtype=float)])
     rows = np.concatenate([first, rest])
@@ -404,9 +419,10 @@ def _screened_energies(obj, x, e, alpha, step, seeds, blocks):
     return rows
 
 
-def _weights(energies, emin, alpha, out=None):
+def _weights(energies, emin, alpha, out=None, blocks=None):
     """exp(-alpha (energies - emin)), bitwise as np.exp computes it, into
-    ``out`` (a new array when None)."""
+    ``out`` (a new array when None); ``blocks`` are the row blocks of the
+    energies' last axis (``row_blocks`` of their shape when None)."""
     w = np.subtract(energies, emin, out=out)
     # -alpha (E - E_min) may overflow to -inf for alpha near the float
     # maximum: the exact limit, whose weight the mask and max() make +0.0
@@ -414,26 +430,40 @@ def _weights(energies, emin, alpha, out=None):
         w *= -alpha
     if w.min() > _EXP_ZERO_BELOW:  # a masked exp is slower when it masks nothing
         return np.exp(w, out=w)
-    # exp runs only where it does not round to zero; max() then turns the
+    # exp runs only where it does not round to zero, one row block at a
+    # time, so that its mask takes no array of n rows; max() then turns the
     # arguments left elsewhere into exact +0.0
-    np.exp(w, out=w, where=w > _EXP_ZERO_BELOW)
+    for s in row_blocks(w.shape + (1,)) if blocks is None else blocks:
+        wb = w[..., s]
+        np.exp(wb, out=wb, where=wb > _EXP_ZERO_BELOW)
     return np.maximum(w, 0.0, out=w)
 
 
 def _weighted_mean(x, w):
-    # sum_i w_i x_i / sum_i w_i per replication; the weighted positions are
-    # a temporary of this call alone
-    return (x * w[..., None]).sum(axis=-2) / w.sum(axis=-1)[..., None]
+    # sum_i w_i x_i / sum_i w_i per replication, which overwrites ``w``: the
+    # weights are summed first, and at d = 1 their products with the
+    # positions go into their own array (bitwise the sum of the (n, 1)
+    # product); at d > 1 the weighted positions are a temporary
+    den = w.sum(axis=-1)[..., None]
+    if x.shape[-1] == 1:
+        return np.multiply(x[..., 0], w, out=w).sum(axis=-1)[..., None] / den
+    return (x * w[..., None]).sum(axis=-2) / den
 
 
-def _weighted_consensus(x, energies, emin, alpha, w=None):
+def _weighted_consensus(x, energies, emin, alpha, w=None, blocks=None):
     # Shifting by the minimum energy leaves the weighted mean exactly
     # invariant and keeps at least one weight equal to 1, so the softmax
     # never underflows to an empty sum even for alpha ~ 1e15.  If every
     # non-minimal weight underflows, this degrades gracefully to the mean
     # of the energy-minimizing particles.  ``emin`` is the minimum per
-    # replication, ``w`` an optional buffer for the weights.
-    return _weighted_mean(x, _weights(energies, emin, alpha, out=w))
+    # replication, ``w`` an optional buffer for the weights, which the
+    # weighted mean overwrites, and ``blocks`` the row blocks of ``x``.
+    # Returns the consensus point and its count of nonzero weights.
+    w = _weights(energies, emin, alpha, w, blocks)
+    # a weight is never -0.0, so its bits are zero where it is zero, and
+    # counting them is cheaper than counting floats
+    nonzero = np.count_nonzero(w.view(np.int64))
+    return _weighted_mean(x, w), nonzero
 
 
 def _screened_consensus(x, e, rows, alpha):
@@ -474,13 +504,14 @@ def consensus_point(x, energies, alpha):
     for any alpha > 0.  One point per replication, (R, dim), for a batch."""
     if not np.isfinite(energies).all():
         raise _nonfinite_energy(energies, None, None)
-    return _weighted_consensus(x, energies, energies.min(axis=-1, keepdims=True), float(alpha))
+    emin = energies.min(axis=-1, keepdims=True)
+    return _weighted_consensus(x, energies, emin, float(alpha))[0]
 
 
-def _step(x, out, params, c, e, e_c, noise, step, blocks):
-    """Write the positions of state ``step + 1`` into ``out`` (which may be
-    ``x`` itself) from the positions ``x`` of state ``step`` and its
-    consensus point ``c`` ((dim,), or (R, dim) per replication of a batch).
+def _step(x, params, c, e, e_c, noise, step, blocks):
+    """Step the positions ``x`` of state ``step``, in place, to those of
+    state ``step + 1``, with the state's consensus point ``c`` ((dim,), or
+    (R, dim) per replication of a batch).
     For H other than ConstOne it reads the energies ``e`` of the state and
     ``e_c`` of its consensus point; ``e_c`` is None for ConstOne.
 
@@ -493,7 +524,7 @@ def _step(x, out, params, c, e, e_c, noise, step, blocks):
     c = c[..., None, :]  # broadcasts over the particle axis
     diverged = False
     for s in blocks:
-        xb, new = x[..., s, :], out[..., s, :]
+        xb = x[..., s, :]
         # x - dt lam H (x - c) + (sigma |x - c|) inc, with one buffer for
         # x - c, then the drift, then the noise term
         diff = xb - c
@@ -504,13 +535,13 @@ def _step(x, out, params, c, e, e_c, noise, step, blocks):
         if e_c is not None:
             diff *= h_eval(params.h_variant, e[..., s] - e_c)[..., None]
         with np.errstate(over="ignore", invalid="ignore"):
-            np.subtract(xb, diff, out=new)
+            np.subtract(xb, diff, out=xb)
             dist *= params.sigma
             inc = noise.increments(step, s, x.shape[-1], params.dt)
-            new += np.multiply(dist[..., None], inc, out=diff)
-        diverged |= not np.isfinite(new).all()
+            xb += np.multiply(dist[..., None], inc, out=diff)
+        diverged |= not np.isfinite(xb).all()
     if diverged:
-        i, seed, rep = _locate(~np.isfinite(out).all(axis=-1), noise.seeds)
+        i, seed, rep = _locate(~np.isfinite(x).all(axis=-1), noise.seeds)
         raise DivergenceError(
             f"non-finite coordinates of particle {i}{rep} after step {step}",
             step=step, particle=i, seed=seed,
@@ -547,21 +578,24 @@ def states(x, obj, params, noise, consensus=None):
     weights and no weighted sum is zero.  A ramp H's E(c) is evaluated just
     before the step that reads it.
 
-    Of the ensemble's size, a state carries only its positions and its
-    energies, which with ``ConstOne`` its weights overwrite: nothing reads
-    them after the weights.  A ramp H keeps its weights in a second array,
-    since its step reads the energies.  The consensus makes the weighted
-    positions as a temporary.
-    The step works in place, in a workspace that lives until the last
-    state, and draws each row block's increments just before it reads them,
-    from ``noise.increments(k, rows, dim, dt)`` (two iterators stepping one
-    ``NoiseSource`` in lockstep, one block a step, share each draw).  So
-    the yielded positions stay valid only until the iterator is resumed;
-    copy them to keep them, and do not modify them.  State 0 is the
-    caller's array, never written and let go of after the first step.  A
-    yielded consensus is a new array (or the pinned entry) each state.
-    ``noise`` holds generator state, so a run in each thread needs its own."""
-    x = np.asarray(x, dtype=float)
+    Of the ensemble's size, a state carries only its positions and one
+    array of a float per row, made in its energy layer: its energies, which
+    with ``ConstOne`` its weights overwrite, dropped after the consensus,
+    their last reader.  A ramp H keeps its energies until the step that
+    reads them, and its weights in a second array that the consensus
+    drops.  At dim > 1 the consensus makes the weighted positions as a
+    temporary.  The step works in place, in the iterator's own copy of the
+    caller's positions, made at the first ``next``: state 0 is that copy,
+    so the caller's array is never written, and one the caller keeps no
+    reference to is freed then.  Each row block's increments are drawn just
+    before the step reads them, from ``noise.increments(k, rows, dim, dt)``
+    (two iterators stepping one ``NoiseSource`` in lockstep, one block a
+    step, share each draw).  So the yielded positions stay valid only until
+    the iterator is resumed; copy them to keep them, and do not modify
+    them.  A yielded consensus is a new array (or the pinned entry) each
+    state.  ``noise`` holds generator state, so a run in each thread needs
+    its own."""
+    x = np.array(x, dtype=float)
     if x.ndim != len(noise.shape) + 2 or x.shape[:-2] != noise.shape or 0 in x.shape[:-1]:
         want = f"(R, n, dim) for R = {len(noise.seeds)} seeds" if noise.shape else "(n, dim)"
         raise ConfigError(f"positions must be {want}, with n, R >= 1, got shape {x.shape}")
@@ -572,12 +606,10 @@ def states(x, obj, params, noise, consensus=None):
     if not free:
         consensus = np.asarray(consensus, dtype=float)
     const_one = isinstance(params.h_variant, ConstOne)
-    e = np.empty(x.shape[:-1]) if free or not const_one else None
-    # the weights; with ConstOne nothing reads a state's energies after its
-    # weights, which overwrite them
-    w = (e if const_one else np.empty(x.shape[:-1])) if free else None
+    evaluated = free or not const_one  # whether a state needs its energies
     screening = free and const_one and obj.floor is not None
     screen = False  # state 0 is evaluated in full
+    e = None
     for k in range(params.steps + 1):
         if k:
             e_c = None
@@ -590,30 +622,31 @@ def states(x, obj, params, noise, consensus=None):
                         f"non-finite energy at the consensus point{rep} at step {k - 1}",
                         step=k - 1, seed=seed,
                     )
-            # the workspace from the first step on; the caller's state 0
-            # stays as it is
-            new = np.empty(x.shape) if k == 1 else x
-            _step(x, new, params, c, e, e_c, noise, k - 1, blocks)
-            x = new
-        # a screened state's evaluated rows; None where every row was evaluated
-        rows = (_screened_energies(obj, x, e, params.alpha, k, noise.seeds, blocks)
-                if screen else None)
-        if rows is None and e is not None:
-            emin = _energies(obj, x, e, k, noise.seeds, blocks)
+            _step(x, params, c, e, e_c, noise, k - 1, blocks)
+            e = None  # the step was the last reader of the ramp's energies
+        if evaluated:
+            e = np.empty(x.shape[:-1])
+            # a screened state's evaluated rows; None where every row was evaluated
+            rows = (_screened_energies(obj, x, e, params.alpha, k, noise.seeds, blocks)
+                    if screen else None)
+            if rows is None:
+                emin = _energies(obj, x, e, k, noise.seeds, blocks)
         if not free:
             c = consensus[k]
         else:
             if rows is None:
-                c = _weighted_consensus(x, e, emin, params.alpha, w)
-                # a weight is never -0.0, so its bits are zero where it is
-                # zero, and counting them is cheaper than counting floats
-                nonzero = np.count_nonzero(w.view(np.int64))
+                # with ConstOne the weights overwrite the energies, which
+                # nothing reads after them
+                c, nonzero = _weighted_consensus(x, e, emin, params.alpha,
+                                                 e if const_one else None, blocks)
             else:
                 c, nonzero = _screened_consensus(x, e, rows, params.alpha)
-            screen = screening and nonzero <= _SCREEN_SHARE * w.size
+            screen = screening and nonzero <= _SCREEN_SHARE * e.size
+        if const_one or k == params.steps:
+            # no step reads these energies: the state holds only its positions
+            e = None
         if k == params.steps:
-            # the last state holds only its positions
-            e = w = noise = None
+            noise = None
         yield k, x, c
 
 
@@ -651,7 +684,7 @@ def simulate(dist, obj, params, record=RecordingPlan()):
     the partial series is attached to the raised error.
     """
     digest = config_digest(dist, obj, params, record)
-    # no reference to state 0 outlives the iterator's own
+    # the iterator copies state 0 at its first next, and nothing else holds it
     run = states(sample_initial(dist, params.n_particles, params.dim, params.seed),
                  obj, params, NoiseSource(params.seed))
     records = []

@@ -90,7 +90,7 @@ def _coupled_sups(dist, obj, params, points, seeds):
         engine.states(init, obj, params, noise),
         engine.states(init, obj, params, noise, consensus=points),
     )
-    del init  # each iterator lets go of state 0 after its first step
+    del init  # each iterator copies it at its first next, so it is freed once both start
     sup_gap = np.zeros((len(seeds), params.n_particles))
     sup_m4 = np.zeros(len(seeds))
     for (_, xa, _), (_, xb, _) in coupled:

@@ -139,7 +139,8 @@ def mollifier(v, vstar, r):
         raise InvalidInputError(f"radius must be positive, got {r}")
     v = np.asarray(v, dtype=float)
     diff = v - np.asarray(vstar, dtype=float)
-    s = _row_sums(diff * diff)
+    with np.errstate(over="ignore"):  # a distance whose square overflows is outside
+        s = _row_sums(diff * diff)
     inside = s < r * r
     if r * r == math.inf:  # r^2 / (r^2 - s) -> 1, where inf / inf is NaN
         out = np.where(inside, 1.0, 0.0)
@@ -152,7 +153,8 @@ def mollifier(v, vstar, r):
 def _radial_parts(v, vstar, r):
     v = np.asarray(v, dtype=float)
     diff = v - np.asarray(vstar, dtype=float)
-    s = float((diff * diff).sum())
+    with np.errstate(over="ignore"):  # a distance whose square overflows is outside
+        s = float((diff * diff).sum())
     return diff, s
 
 

@@ -280,6 +280,22 @@ class TestConsensusPoint:
         assert np.array_equal(engine.consensus_point(x, e, alpha), want)
         assert np.array_equal(engine.consensus_point(x[2], e[2], alpha), want[2])
 
+    @pytest.mark.parametrize("shape", [(320000, 1), (20000, 1), (3, 2560, 1), (163, 50, 1),
+                                       (1, 7, 1), (4, 300, 2)])
+    @pytest.mark.parametrize("alpha", [30.0, 1e15])
+    def test_product_formula_and_energies_untouched(self, shape, alpha):
+        # at d = 1 the weighted mean multiplies the positions into the
+        # weights' own array: bitwise the sum of the (n, 1) product, one
+        # run or a batch; the caller's energies are never written
+        x = np.random.default_rng(len(shape)).uniform(-3, 3, shape)
+        e = objectives.rastrigin(shape[-1]).eval(x)
+        kept = e.copy()
+        got = engine.consensus_point(x, e, alpha)
+        w = np.exp((-alpha) * (e - e.min(axis=-1, keepdims=True)))
+        want = (x * w[..., None]).sum(axis=-2) / w.sum(axis=-1)[..., None]
+        assert np.array_equal(bits(got), bits(want))
+        assert np.array_equal(bits(e), bits(kept))
+
 
 def one_step(x, obj, params, consensus=None):
     """The positions of state 1 that ``engine.states`` reaches from ``x``."""
@@ -421,19 +437,44 @@ class TestStates:
         assert [r.t for r in err.value.partial_series.records] == [0.0, 0.02]
 
     @pytest.mark.parametrize("pinned", [False, True])
-    def test_state_zero_released_after_first_step(self, pinned):
-        # a reference to state 0 kept past its step holds a whole ensemble
-        # of memory for the rest of the run
+    def test_dropped_state_zero_freed_at_first_next(self, pinned):
+        # the iterator steps its own copy of state 0: a caller's array that
+        # nothing else holds would otherwise keep a whole ensemble of memory
+        # beside it
         p = engine.CboParams(steps=3, **self.P)
         consensus = np.zeros((p.steps + 1, 1)) if pinned else None
         x0 = engine.sample_initial(self.DIST, p.n_particles, 1, p.seed)
+        want = x0.copy()
         state0 = weakref.ref(x0)
         run = engine.states(x0, objectives.rastrigin(1), p, engine.NoiseSource(p.seed),
                             consensus=consensus)
         del x0
-        assert next(run)[1] is state0()  # state 0 is the caller's array
-        assert next(run)[0] == 1
-        assert state0() is None
+        assert state0() is not None  # held by the iterator until it starts
+        k, x, _ = next(run)
+        assert k == 0 and state0() is None
+        assert np.array_equal(bits(x), bits(want))
+
+    @pytest.mark.parametrize("dim, seeds, h, pinned", [
+        (1, 5, engine.CONST_ONE, False),
+        (2, 5, engine.CONST_ONE, False),
+        (1, [5, 6, 7], engine.CONST_ONE, False),
+        (1, 5, engine.CONST_ONE, True),
+        (1, 5, engine.RampHeaviside(0.5), False),
+    ], ids=["d1", "d2", "batch", "pinned", "ramp"])
+    def test_kept_state_zero_bitwise_unchanged(self, dim, seeds, h, pinned):
+        # a caller may keep state 0, or share it between two iterators (the
+        # coupled systems of the mean-field sweep): no step writes it
+        p = engine.CboParams(lam=1.0, sigma=0.5, alpha=30.0, dt=0.01, steps=4,
+                             n_particles=300, dim=dim, h_variant=h, seed=5)
+        x0 = engine.sample_initial(engine.GaussianIsotropic((1.0,) * dim, 0.8), 300, dim, seeds)
+        want = x0.copy()
+        consensus = np.zeros((p.steps + 1, dim)) if pinned else None
+        run = engine.states(x0, objectives.rastrigin(dim), p, engine.NoiseSource(seeds),
+                            consensus=consensus)
+        k, x, _ = next(run)
+        assert k == 0 and x is not x0 and np.array_equal(bits(x), bits(want))
+        assert [k for k, _, _ in run] == list(range(1, p.steps + 1))
+        assert np.array_equal(bits(x0), bits(want))
 
     @pytest.mark.parametrize("shape, seeds", [((300, 1), [4]), ((300, 1), [4, 5]),
                                               ((1, 300, 1), 4), ((3, 300, 1), [4, 5]),
@@ -637,7 +678,10 @@ class TestBlocks:
 
 class TestMemory:
     """``states`` keeps no array of the ensemble's size beyond what a state
-    carries across its layers."""
+    carries across its layers: above the caller's state 0, the positions
+    workspace (the iterator's copy of state 0) and, with H = 1, one array
+    of a float per row, which holds a state's energies and then its
+    weights."""
 
     def peak(self, monkeypatch, x0, obj, params, seeds):
         """The traced peak of stepping ``x0`` (allocated before tracing)
@@ -653,48 +697,55 @@ class TestMemory:
             tracemalloc.stop()
 
     @staticmethod
-    def slack(x0):
+    def slack(x0, lists=1):
         """Beside the arrays of n rows: numpy's ufunc buffer, which the
-        weights broadcast over d > 1 columns go through, and per-block
-        temporaries and slices."""
+        weights broadcast over d > 1 columns go through, ``lists`` lists of
+        row-block slices alive at once, and per-block temporaries."""
         dim = x0.shape[-1]
         ufunc_buffer = min(x0.size, np.getbufsize()) * 8 if dim > 1 else 0
-        return ufunc_buffer + 128 * len(metrics.row_blocks(x0.shape)) + 16 * 1024
+        return ufunc_buffer + 128 * lists * len(metrics.row_blocks(x0.shape)) + 16 * 1024
+
+    def bound(self, x0, per_row=1):
+        """The workspace, ``per_row`` arrays of a float per row and the
+        slack; at d > 1 a state evaluated in full also makes its weighted
+        positions, an (n, d) temporary (the roadmap's column kernels at
+        d = 2 would remove it)."""
+        dim = x0.shape[-1]
+        weighted = x0.nbytes if dim > 1 else 0
+        return x0.nbytes + weighted + per_row * (x0.nbytes // dim) + self.slack(x0)
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("seeds", [5, [5, 6, 7]])
     def test_peak_is_positions_energies_weights(self, monkeypatch, dim, seeds):
-        # above state 0 (the caller's, allocated before tracing), with
-        # H = 1: the positions workspace, the weighted positions while the
-        # consensus sums them, and one per-row array, which holds the
-        # energies and then the weights that overwrite them (separate
-        # energies and weights would make four arrays of n rows)
-        n = 2560
+        # with H = 1 the weights overwrite the energies, at d = 1 the
+        # weighted positions go into the weights' array, and the masked exp
+        # runs one row block at a time.  5000 rows: a batch of fewer than
+        # numpy's 8192-element buffer would pass its (R, 1) minima through
+        # that buffer, a copy of the whole per-row array
+        n = 5000
         p = engine.CboParams(lam=1.0, sigma=0.5, alpha=30.0, dt=0.01, steps=2,
                              n_particles=n, dim=dim, seed=5)
         x0 = engine.sample_initial(engine.GaussianIsotropic((1.0,) * dim, 0.8), n, dim, seeds)
         peak = self.peak(monkeypatch, x0, objectives.rastrigin(dim), p, seeds)
-        assert peak <= 2 * x0.nbytes + x0.nbytes // dim + self.slack(x0)
+        assert peak <= self.bound(x0)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_ramp_keeps_energies_beside_weights(self, monkeypatch, dim):
         # the ramp's step reads the energies after the weights are made,
-        # so a state carries both: four arrays of n rows above state 0
+        # so its consensus holds both: one more array of n floats
         n = 2560
         p = engine.CboParams(lam=1.0, sigma=0.5, alpha=30.0, dt=0.01, steps=2,
                              n_particles=n, dim=dim, h_variant=engine.RampHeaviside(0.5),
                              seed=5)
         x0 = engine.sample_initial(engine.GaussianIsotropic((1.0,) * dim, 0.8), n, dim, 5)
         peak = self.peak(monkeypatch, x0, objectives.rastrigin(dim), p, 5)
-        assert peak <= 2 * x0.nbytes + 2 * (x0.nbytes // dim) + self.slack(x0)
+        assert peak <= self.bound(x0, per_row=2)
 
     @pytest.mark.parametrize("seeds", [5, [5, 6, 7]])
-    def test_screened_state_adds_only_its_mask(self, monkeypatch, seeds):
+    def test_screened_state_adds_no_mask(self, monkeypatch, seeds):
         # at alpha = 1e15 every state after the first is screened; its
-        # cutoff test runs one row block at a time into a bool mask of n
-        # rows, so above state 0 the peak is the positions workspace (the
-        # weighted positions at state 0), the per-row array and that mask
-        # (a whole-array test would add an array of n floats)
+        # cutoff test collects each row block's candidates as indices, so
+        # it adds no mask of n rows (a bool mask would add x0.size bytes)
         n = 20000
         p = engine.CboParams(lam=1.0, sigma=0.5, alpha=1e15, dt=0.01, steps=3,
                              n_particles=n, dim=1, seed=5)
@@ -708,8 +759,26 @@ class TestMemory:
         monkeypatch.setattr(engine, "_screened_consensus", spy)
         peak = self.peak(monkeypatch, x0, objectives.rastrigin(1), p, seeds)
         assert len(screened) == p.steps
-        # at d = 1 the per-row array is x0.nbytes, and the mask x0.size bytes
-        assert peak <= 2 * x0.nbytes + x0.size + self.slack(x0)
+        assert peak <= self.bound(x0)
+
+    def test_simulate_snapshot_beside_positions_alone(self, monkeypatch):
+        # records at the first and the last state: the state-0 snapshot
+        # runs beside the positions alone, and at entry the sampled state 0
+        # lives only until the iterator has copied it.  The snapshot lists
+        # its own row blocks beside the iterator's
+        monkeypatch.setattr(metrics, "BLOCK_ROWS", 64)
+        n, dist = 20000, engine.GaussianIsotropic((1.0,), 0.8)
+        p = engine.CboParams(lam=1.0, sigma=0.5, alpha=1e15, dt=0.01, steps=3,
+                             n_particles=n, dim=1, seed=5)
+        plan = metrics.RecordingPlan(stride=p.steps, ball_radii=(0.25, 0.5, 1.0))
+        engine.sample_initial(dist, 1, 1, 0)  # numpy loads its random module at the first draw
+        tracemalloc.start()
+        try:
+            engine.simulate(dist, objectives.rastrigin(1), p, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * n * 8 + self.slack(np.empty((n, 1)), lists=2)
 
 
 def row_counting(obj, rows, poison=None):
@@ -1081,6 +1150,19 @@ class TestMaskedExp:
         out = np.full_like(e, np.nan)
         assert engine._weights(e, emin, alpha, out=out) is out
         assert np.array_equal(out.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("shape", [(8002,), (4, 2000)])
+    def test_weights_masked_by_row_blocks_bitwise_np_exp(self, monkeypatch, shape):
+        # the masked exp runs one row block at a time: many blocks, the
+        # last one short, one run or a batch
+        monkeypatch.setattr(metrics, "BLOCK_ROWS", 64)
+        args = np.linspace(-800.0, 0.0, math.prod(shape))
+        e = np.random.default_rng(10).permutation(-args / 3.7).reshape(shape)
+        emin = e.min(axis=-1, keepdims=True)
+        want = np.exp(-3.7 * (e - emin))
+        assert (want == 0).any() and (want > 0).any()
+        got = engine._weights(e, emin, 3.7)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_weights_overflowing_argument_bitwise_np_exp(self):
         # alpha (e - min e) past the float maximum: the argument is -inf, the

@@ -148,6 +148,15 @@ class TestMollifier:
         assert np.array_equal(theory.mollifier_grad(v, vstar, 1e200), np.zeros(1))
         assert theory.mollifier_laplacian(v, vstar, 1e200) == 0.0
 
+    @pytest.mark.parametrize("v", [np.array([2e200]), np.array([[2e200, 0.0]])])
+    def test_distance_square_overflows(self, v):
+        # past ~1.3e154 a coordinate's square is inf: the point lies outside
+        # every ball, so phi and both derivatives are 0, with no warning
+        vstar = np.zeros(v.shape[-1])
+        assert np.array_equal(theory.mollifier(v, vstar, 1.0), np.zeros(v.shape[:-1]))
+        assert np.array_equal(theory.mollifier_grad(v, vstar, 1.0), np.zeros(v.shape))
+        assert np.array_equal(theory.mollifier_laplacian(v, vstar, 1.0), np.zeros(()))
+
     def test_finite_radius_square_unchanged(self):
         # just below the overflow, phi_r is still exp(1 - r^2 / (r^2 - s))
         v, vstar, r = np.array([0.5]), np.zeros(1), 1e154
