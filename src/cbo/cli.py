@@ -17,16 +17,20 @@ block, or the top level, does not list, named by its key, or by its block
 where a library type rejects it; an init vector not of length params.dim;
 ``--full`` with a flag whose option it sets; an outputs path under a file:
 all checked before any work starts; sizes beyond memory, a failed write, a
-CBO_THREADS that is not a positive integer), 3 divergence, 4
+CBO_THREADS that is not a positive integer), 3 divergence (or a worker
+process that died, named by the seeds of the runs it lost), 4
 theory-precondition failure (such as an eps above the sample's V(0)).
-CBO_THREADS caps the workers of the fig-variance fan-out over runs and
-the fig-trajectories fan-out over seed batches; mfa-sweep uses one.
+CBO_THREADS caps the worker processes of the fig-variance fan-out over
+runs and the fig-trajectories fan-out over seed batches (default: the CPUs
+this process may run on); mfa-sweep runs in one process.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import io
 import itertools
 import json
 import sys
@@ -36,9 +40,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import engine, mfa, objectives, theory
+from . import engine, mfa, objectives
 from ._parallel import thread_map
-from .errors import CboError, ConfigError, SimulationError, TheoryPreconditionError
+from .errors import (CboError, ConfigError, SimulationError, TheoryPreconditionError,
+                     WorkerLostError)
 from .metrics import RecordingPlan, default_fit_window, fit_decay_rate, seed_batches
 
 EXIT_OK = 0
@@ -274,7 +279,7 @@ def write_metrics_csv(path, series, radii):
     header = ["t", "v_func", "variance", "w2_sq", "consensus_dist"]
     header += [f"ball_mass_{_fmt(float(r))}" for r in radii]
     header.append("moment4")
-    _write_csv(path, header, (
+    _write_csv(path, header, _csv_text(
         [rec.t, rec.v_func, rec.variance, rec.w2_sq, rec.consensus_dist,
          *(rec.ball_mass[float(r)] for r in radii), rec.moment4]
         for rec in series.records
@@ -282,12 +287,18 @@ def write_metrics_csv(path, series, radii):
     return path
 
 
-def _write_csv(path, header, rows):
+def _csv_text(rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([_fmt(x) for x in row] for row in rows)
+    return buf.getvalue()
+
+
+def _write_csv(path, header, *chunks):
+    """Write the header row, then each chunk of ``_csv_text`` rows in order."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_fmt(x) for x in row] for row in rows)
+        fh.write(_csv_text([header]))
+        fh.writelines(chunks)
 
 
 def write_summary(path, items):
@@ -349,6 +360,21 @@ def run_simulation(out_dir, cfg):
 
 
 # ---------------------------------------------------------------------------
+# the fan-out of the figure presets over their runs
+
+
+def _fan_out(fn, items, seeds_of):
+    """``thread_map``, where a worker process that dies names the seeds of
+    the runs it lost, ``seeds_of`` each lost item."""
+    try:
+        return thread_map(fn, items)
+    except WorkerLostError as err:
+        seeds = ", ".join(str(s) for item in err.lost for s in seeds_of(item))
+        err.args = (f"{err}: the runs of seeds {seeds}",)
+        raise
+
+
+# ---------------------------------------------------------------------------
 # preset: fig-variance
 
 
@@ -365,14 +391,12 @@ def preset_fig_variance(out_dir, scale, seed, steps):
     base = engine.CboParams(lam=1.0, sigma=0.5, alpha=1e15, dt=FIG_DT, steps=steps,
                             n_particles=n, dim=1, seed=seed)
 
-    def one(i_mu):
+    def one(i_mu):  # the series alone crosses back from a worker
         i, mu = i_mu
-        params = replace(base, seed=seed + i)
         dist = engine.GaussianIsotropic((mu,), FIG_VARIANCE_VAR)
-        result = engine.simulate(dist, obj, params, plan)
-        return mu, params, result
+        return engine.simulate(dist, obj, replace(base, seed=seed + i), plan).series
 
-    runs = thread_map(one, list(enumerate(FIG_VARIANCE_MEANS)))
+    runs = _fan_out(one, list(enumerate(FIG_VARIANCE_MEANS)), lambda i_mu: [seed + i_mu[0]])
     summary = {
         "preset": "fig-variance",
         "n_particles": n,
@@ -381,17 +405,17 @@ def preset_fig_variance(out_dir, scale, seed, steps):
         "dt": FIG_DT,
         "theoretical_rate": engine.contraction_rate(base.lam, base.sigma, base.dim),
     }
-    for mu, params, result in runs:
+    for i, (mu, series) in enumerate(zip(FIG_VARIANCE_MEANS, runs)):
         tag = f"mu{int(mu)}"
-        write_metrics_csv(out_dir / tag / "metrics.csv", result.series, plan.ball_radii)
-        rate, window = _fitted_rate(result.series)
-        var0 = result.series.records[0].variance
-        bump = any(r.variance > var0 for r in result.series.records if 0.0 < r.t <= 0.5)
+        write_metrics_csv(out_dir / tag / "metrics.csv", series, plan.ball_radii)
+        rate, window = _fitted_rate(series)
+        var0 = series.records[0].variance
+        bump = any(r.variance > var0 for r in series.records if 0.0 < r.t <= 0.5)
         sub = {
             "mu": mu,
-            "seed": params.seed,
-            "endpoint_error": result.series.endpoint_error,
-            "config_digest": result.series.config_digest,
+            "seed": seed + i,
+            "endpoint_error": series.endpoint_error,
+            "config_digest": series.config_digest,
             "var_exceeds_initial_by_t0.5": bump,
             "fitted_v_decay_rate": f"unavailable ({window})" if rate is None else rate,
         }
@@ -439,30 +463,34 @@ def preset_fig_trajectories(out_dir, runs, n, seed, steps):
         n_particles=n_total, dim=2, seed=seed,
     )
 
+    times = np.arange(steps + 1) * FIG_DT
+    agents, ks = range(len(tracked)), range(steps + 1)
+
     def run_batch(seeds):
+        """The batch's trajectories and its rows of trajectories.csv."""
         traj = np.empty((len(seeds), steps + 1, len(tracked), 2))
         # each replication's sample with the tracked agents appended, which
         # nothing holds once the iterator has copied it at its first next
-        agents = np.broadcast_to(tracked, (len(seeds), *tracked.shape))
-        run = engine.states(np.concatenate([engine.sample_initial(dist, n, 2, seeds), agents],
+        tagged = np.broadcast_to(tracked, (len(seeds), *tracked.shape))
+        run = engine.states(np.concatenate([engine.sample_initial(dist, n, 2, seeds), tagged],
                                            axis=1),
                             obj, params, engine.NoiseSource(seeds))
         for k, x, _ in run:
             traj[:, k] = x[:, n:]
-        return traj
+        return traj, _csv_text(
+            [s - seed, a, float(times[k]), float(traj[r, k, a, 0]), float(traj[r, k, a, 1])]
+            for (r, s), a, k in itertools.product(enumerate(seeds), agents, ks)
+        )
 
     # the runs step as batches of seeds, (R, n + 3, 2) each, in seed order
     batches = seed_batches(range(seed, seed + runs), n_total)
-    trajs = np.concatenate(thread_map(run_batch, batches))   # (runs, K+1, 3, 2)
-    mean_traj = trajs.mean(axis=0)                       # (K+1, 3, 2)
-    times = np.arange(steps + 1) * FIG_DT
+    trajs, rows = zip(*_fan_out(run_batch, batches, lambda seeds: seeds))
+    # bitwise np.concatenate(trajs).mean(axis=0), which adds the runs in
+    # order, with no copy of every run's trajectory beside the CSV rows
+    mean_traj = functools.reduce(np.add, (r for traj in trajs for r in traj)) / runs
 
-    agents, ks = range(len(tracked)), range(steps + 1)
-    _write_csv(out_dir / "trajectories.csv", ["run", "agent", "t", "x", "y"], (
-        [r, a, float(times[k]), float(trajs[r, k, a, 0]), float(trajs[r, k, a, 1])]
-        for r, a, k in itertools.product(range(runs), agents, ks)
-    ))
-    _write_csv(out_dir / "mean_trajectories.csv", ["agent", "t", "x", "y"], (
+    _write_csv(out_dir / "trajectories.csv", ["run", "agent", "t", "x", "y"], *rows)
+    _write_csv(out_dir / "mean_trajectories.csv", ["agent", "t", "x", "y"], _csv_text(
         [a, float(times[k]), float(mean_traj[k, a, 0]), float(mean_traj[k, a, 1])]
         for a, k in itertools.product(agents, ks)
     ))
@@ -512,8 +540,8 @@ def run_mfa_sweep(out_dir, cfg, n_values, n_ref, n_seeds, seed0, m_factor):
     _write_csv(
         out_dir / "sweep.csv",
         ["n", "err_sup", "err_sup_conditional", "exceed_fraction", "seeds"],
-        ([run.n, run.err_sup, run.err_sup_conditional, run.exceed_fraction, len(run.seeds)]
-         for run in result.runs),
+        _csv_text([run.n, run.err_sup, run.err_sup_conditional, run.exceed_fraction,
+                   len(run.seeds)] for run in result.runs),
     )
     write_summary(out_dir / "summary.txt", {
         "preset": "mfa-sweep",
@@ -527,6 +555,8 @@ def run_mfa_sweep(out_dir, cfg, n_values, n_ref, n_seeds, seed0, m_factor):
 
 
 def run_laplace_audit(out_dir, measures, seed, max_n, min_inside):
+    from . import theory  # loaded by the two routes that run it
+
     if max_n < 2 * min_inside:
         raise ConfigError(f"audit.max_n: must be >= 2 * min_inside = {2 * min_inside}, "
                           f"got {max_n}")
@@ -547,6 +577,8 @@ def run_laplace_audit(out_dir, measures, seed, max_n, min_inside):
 def run_theory(out_dir, cfg, eps, tau, r, b_bound, q_laplace, sample_n):
     """The closed-form theory report of run config ``cfg``, printed and, with
     ``out_dir``, written; sample_n defaults to params.n_particles."""
+    from . import theory
+
     obj, params = cfg.objective, cfg.params
     if not tau < 1.0:
         raise ConfigError(f"theory.tau: must lie in [0, 1), got {tau}")

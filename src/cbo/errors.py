@@ -43,6 +43,15 @@ class DivergenceError(SimulationError):
     """The step from state ``step`` produced non-finite coordinates."""
 
 
+class WorkerLostError(SimulationError):
+    """A worker process died; ``lost`` holds the items of a map whose
+    results went with it."""
+
+    def __init__(self, message, lost=()):
+        super().__init__(message)
+        self.lost = lost
+
+
 class TheoryPreconditionError(CboError):
     """A closed-form quantity is undefined for the supplied parameters."""
 

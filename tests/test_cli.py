@@ -2,6 +2,9 @@ import csv
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -204,7 +207,9 @@ class TestConfigErrors:
     def test_bad_value_on_each_route_exit_2_names_key(self, tmp_path, capsys, monkeypatch,
                                                       route, path, value, named):
         # the preset and theory blocks are as strict as the run blocks, and
-        # every bad value is rejected before any work starts
+        # every bad value is rejected before any work starts; one worker,
+        # since the spies see no call made in a forked worker process
+        monkeypatch.setenv("CBO_THREADS", "1")
         monkeypatch.chdir(tmp_path)
         (tmp_path / "taken").write_text("a file\n")
         started = []
@@ -586,6 +591,48 @@ class TestPresets:
                          "--steps", "3", "--out", str(tmp_path / "ft")])
         assert code == 0
         assert alive == [False, False]
+
+    def test_divergence_in_a_worker_exit_3_names_step_particle_seed(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        # patched before the map, which the forked workers inherit: particle
+        # 7 of seed 4, in the second of two batches, starts at NaN
+        monkeypatch.setenv("CBO_THREADS", "2")
+        monkeypatch.setattr(metrics, "BLOCK_ROWS", 26)  # n + 3 = 13 rows: batches of 2 runs
+        sample = engine.sample_initial
+
+        def planted(dist, n, dim, seeds):
+            x = sample(dist, n, dim, seeds)
+            if 4 in seeds:
+                x[list(seeds).index(4), 7] = math.nan
+            return x
+
+        monkeypatch.setattr(engine, "sample_initial", planted)
+        code = cli.main(["preset", "fig-trajectories", "--runs", "4", "--n", "10",
+                         "--steps", "5", "--out", str(tmp_path / "ft")])
+        assert code == cli.EXIT_DIVERGENCE
+        err = capsys.readouterr().err
+        assert err == ("simulation error: non-finite energy at particle 7 of replication 1 "
+                       "(seed 4) at step 0\n")
+
+    def test_dead_worker_exit_3_names_its_seeds(self, tmp_path):
+        # a worker process that dies ends the run, with no hang and no traceback
+        script = (
+            "import os, sys\n"
+            "from cbo import cli, engine, metrics\n"
+            "metrics.BLOCK_ROWS = 26\n"
+            "sample = engine.sample_initial\n"
+            "engine.sample_initial = lambda dist, n, dim, seeds: ("
+            "os._exit(1) if 4 in seeds else sample(dist, n, dim, seeds))\n"
+            "sys.exit(cli.main(['preset', 'fig-trajectories', '--runs', '4', '--n', '10',"
+            " '--steps', '5', '--out', sys.argv[1]]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), CBO_THREADS="2")
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "ft")], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == cli.EXIT_DIVERGENCE
+        assert proc.stderr.startswith("simulation error: a worker process died")
+        assert "3, 4\n" in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "ft").exists()
 
     @pytest.mark.parametrize("threads", ["abc", "0", "-3", "2.5"])
     def test_cbo_threads_not_positive_integer_exit_2(self, tmp_path, capsys, monkeypatch,

@@ -1,4 +1,5 @@
 import math
+import os
 import threading
 from dataclasses import replace
 
@@ -182,11 +183,13 @@ class TestSweep:
 
     def test_sweep_starts_no_thread_pool(self, monkeypatch):
         # the seeds of each particle count step as batches in the calling
-        # thread, whatever the worker cap; a started thread fails at once
-        def start(t):
-            raise AssertionError("mfa_sweep started a thread")
+        # thread, whatever the worker cap; a started thread or a forked
+        # worker process fails at once
+        def start(*args):
+            raise AssertionError("mfa_sweep started a thread or a process")
 
         monkeypatch.setattr(threading.Thread, "start", start)
+        monkeypatch.setattr(os, "fork", start)
         monkeypatch.setenv("CBO_THREADS", "4")
         mfa.mfa_sweep(DIST, OBJ, params(steps=5), [20, 40, 80], 800, seeds=[1, 2, 3])
 
