@@ -1,9 +1,12 @@
-"""Order-preserving map over forked worker processes, at most CBO_THREADS.
+"""Order-preserving map over forked worker processes, at most CBO_THREADS:
+``ProcessPoolExecutor.map`` on a ``fork`` context.
 
 The function and the items sit in a module global that every forked
 worker inherits, so closures are never pickled: a worker gets an item's
-index and sends back its result or its error by pickle.  The pool module
-is imported inside the map, so a route that maps nothing never loads it.
+index and sends back its result or its error by pickle.  Workers ignore
+SIGINT, so an interrupt is the parent's alone: it cancels the items not yet
+started and waits for the running ones.  The pool module is imported
+inside the map, so a route that maps nothing never loads it.
 ``thread_map`` keeps the name of the thread pool it replaced, which the
 bench tracer looks up.
 """
@@ -39,10 +42,13 @@ def _run_item(index):
 
 
 def thread_map(fn, items):
-    """Apply fn to each item in worker processes; results keep input order
-    regardless of timing, and the first failing item in order raises its
-    error.  A worker that dies raises ``WorkerLostError`` with the items
-    whose results went with it.  With one worker the map runs in this
+    """Apply fn to each item in worker processes, by ``Executor.map``:
+    results keep input order regardless of timing, the first failing item
+    in order raises its error, and the items not yet started are cancelled
+    on the way out.  A worker that dies raises ``WorkerLostError`` with the
+    items from the first result that did not come back.  Workers ignore
+    SIGINT: an interrupt reaches the caller as ``KeyboardInterrupt`` once
+    the running items finish.  With one worker the map runs in this
     process, and so does a map called in a worker, which never forks a pool
     of its own, or in a second thread while a pool runs."""
     global _task
@@ -52,24 +58,22 @@ def thread_map(fn, items):
         return [fn(item) for item in items]
     try:
         import multiprocessing
-        from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
-        from concurrent.futures.process import BrokenProcessPool
+        import signal
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
         _task = fn, items
-        pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
-        try:
-            # the first submit forks every worker before the pool starts its thread
-            futures = [pool.submit(_run_item, i) for i in range(len(items))]
-            wait(futures, return_when=FIRST_EXCEPTION)
-        finally:
-            pool.shutdown(cancel_futures=True)
+        results = []
+        # the first submit forks every worker before the pool starts its thread
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                 initializer=signal.signal,
+                                 initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
+            try:  # extend keeps the results that came back before an error
+                results.extend(pool.map(_run_item, range(len(items))))
+            except BrokenProcessPool:
+                lost = items[len(results):]
+                raise WorkerLostError(f"a worker process died before returning {len(lost)} "
+                                      f"of {len(items)} results", lost) from None
+        return results
     finally:
         _task = None
         _forking.release()
-    try:
-        return [future.result() for future in futures]
-    except BrokenProcessPool:
-        lost = [item for item, future in zip(items, futures)
-                if not future.cancelled() and isinstance(future.exception(), BrokenProcessPool)]
-        raise WorkerLostError(f"a worker process died before returning {len(lost)} "
-                              f"of {len(items)} results", lost) from None

@@ -18,8 +18,11 @@ where a library type rejects it; an init vector not of length params.dim;
 ``--full`` with a flag whose option it sets; an outputs path under a file:
 all checked before any work starts; sizes beyond memory, a failed write, a
 CBO_THREADS that is not a positive integer), 3 divergence (or a worker
-process that died, named by the seeds of the runs it lost), 4
-theory-precondition failure (such as an eps above the sample's V(0)).
+process that died, named by the seeds of the runs whose results did not
+come back), 4 theory-precondition failure (such as an eps above the
+sample's V(0)), 130 interrupted (a SIGINT, as from Ctrl-C: the runs not yet
+started are cancelled, the running ones finish, and one line goes to
+stderr).
 CBO_THREADS caps the worker processes of the fig-variance fan-out over
 runs and the fig-trajectories fan-out over seed batches (default: the CPUs
 this process may run on); mfa-sweep runs in one process.
@@ -51,6 +54,7 @@ EXIT_AUDIT_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_DIVERGENCE = 3
 EXIT_THEORY = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, the shell's code for an interrupt
 
 # both figure presets step with dt = 0.01
 FIG_DT = 0.01
@@ -329,13 +333,12 @@ def _fitted_rate(series):
 
 def run_simulation(out_dir, cfg):
     try:
-        result = engine.simulate(cfg.init, cfg.objective, cfg.params, cfg.recording)
+        series = engine.simulate(cfg.init, cfg.objective, cfg.params, cfg.recording)
     except SimulationError as err:
         if err.partial_series is not None:
             write_metrics_csv(out_dir / "metrics.csv", err.partial_series,
                               cfg.recording.ball_radii)
         raise
-    series = result.series
     write_metrics_csv(out_dir / "metrics.csv", series, cfg.recording.ball_radii)
     rate, window = _fitted_rate(series)
     summary = {
@@ -365,7 +368,7 @@ def run_simulation(out_dir, cfg):
 
 def _fan_out(fn, items, seeds_of):
     """``thread_map``, where a worker process that dies names the seeds of
-    the runs it lost, ``seeds_of`` each lost item."""
+    the runs whose results did not come back, ``seeds_of`` each lost item."""
     try:
         return thread_map(fn, items)
     except WorkerLostError as err:
@@ -391,10 +394,10 @@ def preset_fig_variance(out_dir, scale, seed, steps):
     base = engine.CboParams(lam=1.0, sigma=0.5, alpha=1e15, dt=FIG_DT, steps=steps,
                             n_particles=n, dim=1, seed=seed)
 
-    def one(i_mu):  # the series alone crosses back from a worker
+    def one(i_mu):
         i, mu = i_mu
         dist = engine.GaussianIsotropic((mu,), FIG_VARIANCE_VAR)
-        return engine.simulate(dist, obj, replace(base, seed=seed + i), plan).series
+        return engine.simulate(dist, obj, replace(base, seed=seed + i), plan)
 
     runs = _fan_out(one, list(enumerate(FIG_VARIANCE_MEANS)), lambda i_mu: [seed + i_mu[0]])
     summary = {
@@ -733,6 +736,9 @@ def main(argv=None):
     except TheoryPreconditionError as err:
         print(f"theory precondition error: {err}", file=sys.stderr)
         return EXIT_THEORY
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except ConfigError as err:
         message = err
     except MemoryError as err:

@@ -73,7 +73,6 @@ __all__ = [
     "h_eval",
     "states",
     "simulate",
-    "SimulationResult",
 ]
 
 
@@ -654,12 +653,6 @@ def states(x, obj, params, noise, consensus=None):
 # full simulation
 
 
-@dataclass
-class SimulationResult:
-    series: MetricsSeries
-    final: np.ndarray  # the positions of the last state
-
-
 def config_digest(dist, obj, params, plan):
     """Stable digest of a run configuration (identifies a deterministic run)."""
     minimizer = () if obj.minimizer is None else tuple(map(float, obj.minimizer))
@@ -675,7 +668,8 @@ def config_digest(dist, obj, params, plan):
 
 
 def simulate(dist, obj, params, record=RecordingPlan()):
-    """Run the scheme for ``params.steps`` steps and collect metrics.
+    """Run the scheme for ``params.steps`` steps and return its
+    ``MetricsSeries``.
 
     Records the t = 0 state and then every ``record.stride`` steps.  When the
     objective has a known minimizer, the squared distance of the final
@@ -700,5 +694,4 @@ def simulate(dist, obj, params, record=RecordingPlan()):
     if obj.minimizer is not None:
         gap = x.mean(axis=0) - obj.minimizer
         endpoint = float(np.dot(gap, gap))
-    series = MetricsSeries(records, endpoint, digest)
-    return SimulationResult(series=series, final=x)
+    return MetricsSeries(records, endpoint, digest)

@@ -44,8 +44,8 @@ class DivergenceError(SimulationError):
 
 
 class WorkerLostError(SimulationError):
-    """A worker process died; ``lost`` holds the items of a map whose
-    results went with it."""
+    """A worker process died; ``lost`` holds the items of a map from the
+    first result that did not come back."""
 
     def __init__(self, message, lost=()):
         super().__init__(message)

@@ -151,7 +151,10 @@ def mollifier(v, vstar, r):
 
 
 def _radial_parts(v, vstar, r):
+    # one point, (dim,) or (1, dim): the derivatives sum ||v - v*||^2 over it
     v = np.asarray(v, dtype=float)
+    if v.ndim == 0 or v.shape[:-1] not in ((), (1,)):
+        raise InvalidInputError(f"expected one point, (dim,) or (1, dim), got shape {v.shape}")
     diff = v - np.asarray(vstar, dtype=float)
     with np.errstate(over="ignore"):  # a distance whose square overflows is outside
         s = float((diff * diff).sum())
@@ -159,9 +162,9 @@ def _radial_parts(v, vstar, r):
 
 
 def mollifier_grad(v, vstar, r):
-    """Gradient of the mollifier: -2 r^2 (v - v*) / (r^2 - ||v - v*||^2)^2 * phi_r(v),
-    and the zero vector outside the open ball and where r^2 overflows (the
-    limit as r -> inf)."""
+    """Gradient of the mollifier at one point v, (dim,) or (1, dim):
+    -2 r^2 (v - v*) / (r^2 - ||v - v*||^2)^2 * phi_r(v), and the zero vector
+    outside the open ball and where r^2 overflows (the limit as r -> inf)."""
     diff, s = _radial_parts(v, vstar, r)
     if s >= r * r or r * r == math.inf:
         return np.zeros_like(diff)
@@ -170,7 +173,8 @@ def mollifier_grad(v, vstar, r):
 
 
 def mollifier_laplacian(v, vstar, r):
-    """Laplacian of the mollifier in d dimensions:
+    """Laplacian of the mollifier in d dimensions at one point v, (dim,) or
+    (1, dim):
 
         2 r^2 * [2 (2 s - r^2) s - d (r^2 - s)^2] / (r^2 - s)^4 * phi_r(v)
 
@@ -185,7 +189,7 @@ def mollifier_laplacian(v, vstar, r):
     # as 2 r^2 / gap^2 * [2 (2 s - r^2) s / gap^2 - d], each 1 / gap^2 a
     # division by gap twice: gap^2 may overflow, and gap^4 sooner
     num = 2.0 * (2.0 * s - r * r) * s / gap / gap - d
-    return float(2.0 * r * r / gap / gap * num * mollifier(v, vstar, r))
+    return float(2.0 * r * r / gap / gap * num * mollifier(np.ravel(v), vstar, r))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Acceptance suite: one test per criterion, each printing a PASS line with
 the measured values (run with ``pytest tests/test_acceptance.py -s`` to see
 them live).  The experiment-scale criteria run at their stated sizes, so
-this module takes a few minutes in total.
+this module takes a few minutes in total.  Criteria 1 (the mu = 1 rate), 3
+and 8 also run at the non-pinned seeds ``SEEDS``, with the same bounds.
 """
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,10 @@ from cbo import cli, engine, metrics, mfa, objectives, theory
 
 CONFIGS = Path(__file__).resolve().parent.parent / "docs" / "configs"
 RATE = 2.0 * 1.0 - 1 * 0.5**2  # 1.75
+MU1 = engine.GaussianIsotropic((1.0,), 0.8)
+# sweep seeds s beside the pinned s = 1, fixed in advance: an outcome outside
+# a bound is a finding about the program or the bound, never a reason to drop s
+SEEDS = (2, 3, 4)
 
 
 def fig_variance_params(seed, steps=400, n=20_000):
@@ -23,27 +29,24 @@ def fig_variance_params(seed, steps=400, n=20_000):
     )
 
 
-@pytest.fixture(scope="module")
-def mu1_run():
-    obj = objectives.rastrigin(1)
-    dist = engine.GaussianIsotropic((1.0,), 0.8)
-    return engine.simulate(dist, obj, fig_variance_params(seed=1))
-
-
-def test_criterion_1_decay_rate_and_variance_bump(mu1_run):
-    # mu = 1: fitted V decay rate within +-15% of 2 lam - d sigma^2 = 1.75
-    series = mu1_run.series
+def mu1_rate(seed):
+    """Criterion 1's fitted V decay rate of the mu = 1 run at ``seed``."""
+    series = engine.simulate(MU1, objectives.rastrigin(1), fig_variance_params(seed=seed))
     ts, vs = series.column("t"), series.column("v_func")
-    window = metrics.default_fit_window(ts, vs)
-    rate = metrics.fit_decay_rate(ts, vs, window)
+    return metrics.fit_decay_rate(ts, vs, metrics.default_fit_window(ts, vs))
+
+
+def test_criterion_1_decay_rate_and_variance_bump():
+    # mu = 1: fitted V decay rate within +-15% of 2 lam - d sigma^2 = 1.75
+    rate = mu1_rate(1)
     assert abs(rate - RATE) <= 0.15 * RATE
 
     # mu = 4: the halved variance exceeds its initial value at some t <= 0.5
     obj = objectives.rastrigin(1)
     dist4 = engine.GaussianIsotropic((4.0,), 0.8)
-    res4 = engine.simulate(dist4, obj, fig_variance_params(seed=4))
-    t4 = res4.series.column("t")
-    var4 = res4.series.column("variance")
+    series4 = engine.simulate(dist4, obj, fig_variance_params(seed=4))
+    t4 = series4.column("t")
+    var4 = series4.column("variance")
     bumped = bool(np.any(var4[(t4 > 0) & (t4 <= 0.5)] > var4[0]))
     assert bumped
     print(
@@ -80,14 +83,20 @@ def test_criterion_2_straight_mean_trajectories(tmp_path):
     )
 
 
-def test_criterion_3_mean_field_scaling():
-    # the sweep of docs/configs/mfa_sweep.json, read as `cbo preset mfa-sweep` reads it
+def mfa_sweep_at(s):
+    """The sweep of docs/configs/mfa_sweep.json, read as `cbo preset mfa-sweep`
+    reads it, with every seed moved by s - 1: s = 1 is the file's own
+    (``params.seed`` 11, replication seeds 12 .. 43)."""
     raw = cli.load_config(CONFIGS / "mfa_sweep.json")
     cfg, preset = cli.parse_run_config(raw), cli.PRESETS["mfa_sweep"]
     sweep = cli.read_block(raw[preset.block], preset.block, preset.options)
-    seeds = [sweep["seed0"] + i for i in range(sweep["n_seeds"])]
-    result = mfa.mfa_sweep(cfg.init, cfg.objective, cfg.params, sweep["n_values"],
-                           sweep["n_ref"], seeds, sweep["m_factor"])
+    seeds = [sweep["seed0"] + s - 1 + i for i in range(sweep["n_seeds"])]
+    return mfa.mfa_sweep(cfg.init, cfg.objective, replace(cfg.params, seed=cfg.params.seed + s - 1),
+                         sweep["n_values"], sweep["n_ref"], seeds, sweep["m_factor"])
+
+
+def test_criterion_3_mean_field_scaling():
+    result = mfa_sweep_at(1)
     assert -1.4 <= result.slope <= -0.6, f"slope {result.slope}"
     for run in result.runs:
         assert 0.0 <= run.exceed_fraction <= 1.0
@@ -213,7 +222,7 @@ def test_criterion_7_structural_invariants(tmp_path):
         engine.GaussianIsotropic((1.0,), 1.0), objectives.quadratic(1),
         engine.CboParams(lam=1.0, sigma=0.5, alpha=5.0, dt=0.01, steps=10,
                          n_particles=30, dim=1, seed=8),
-    ).series.records
+    ).records
     assert all(r.w2_sq == 2.0 * r.v_func for r in rec)
 
     # repeated seed gives byte-identical CSV
@@ -241,13 +250,38 @@ def test_criterion_7_structural_invariants(tmp_path):
     )
 
 
-def test_criterion_8_mass_lower_bound(mu1_run):
-    obj = objectives.rastrigin(1)
-    dist = engine.GaussianIsotropic((1.0,), 0.8)
-    result = theory.mass_decay_audit(dist, obj, fig_variance_params(seed=1), r=1.0)
+def mass_audit(seed):
+    """Criterion 8's audit of the mu = 1 run at ``seed``."""
+    return theory.mass_decay_audit(MU1, objectives.rastrigin(1),
+                                   fig_variance_params(seed=seed), r=1.0)
+
+
+def test_criterion_8_mass_lower_bound():
+    result = mass_audit(1)
     assert result.ok, f"min margin {result.min_margin}"
     print(
         f"[criterion 8] PASS: empirical mollified mass >= bound - 3 SE at all "
         f"{result.times.size} recorded times (q = {result.q:.2f}, "
         f"B = {result.b_sup:.2e}, min margin {result.min_margin:.4f})"
     )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_criterion_1_decay_rate_other_seeds(seed):
+    rate = mu1_rate(seed)
+    assert abs(rate - RATE) <= 0.15 * RATE
+    print(f"[criterion 1, seed {seed}] PASS: fitted rate {rate:.4f} vs {RATE}")
+
+
+@pytest.mark.parametrize("s", SEEDS)
+def test_criterion_3_mean_field_scaling_other_seeds(s):
+    slope = mfa_sweep_at(s).slope
+    assert -1.4 <= slope <= -0.6
+    print(f"[criterion 3, s = {s}] PASS: log-log slope {slope:.3f} in [-1.4, -0.6]")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_criterion_8_mass_lower_bound_other_seeds(seed):
+    result = mass_audit(seed)
+    assert result.ok, f"min margin {result.min_margin}"
+    print(f"[criterion 8, seed {seed}] PASS: min margin {result.min_margin:.4f}")

@@ -3,8 +3,10 @@ import importlib.util
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -387,8 +389,8 @@ class TestRun:
         params = cli.parse_params(cfg["params"])
         obj = objectives.quadratic(1)
         dist = engine.GaussianIsotropic((1.0,), 0.5)
-        res = engine.simulate(dist, obj, params, metrics.RecordingPlan(1, (0.5, 1.0)))
-        for row, rec in zip(rows, res.series.records):
+        series = engine.simulate(dist, obj, params, metrics.RecordingPlan(1, (0.5, 1.0)))
+        for row, rec in zip(rows, series.records):
             assert row[0] == rec.t
             assert row[1] == rec.v_func
             assert row[2] == rec.variance
@@ -633,6 +635,46 @@ class TestPresets:
         assert proc.stderr.startswith("simulation error: a worker process died")
         assert "3, 4\n" in proc.stderr and "Traceback" not in proc.stderr
         assert not (tmp_path / "ft").exists()
+
+    @pytest.mark.parametrize("target", ["group", "parent"])
+    def test_interrupt_exit_130_leaves_no_worker(self, tmp_path, target):
+        # SIGINT to the process group (Ctrl-C) or to the parent alone, while
+        # the fan-out runs: one stderr line, exit 130, and no worker left
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), CBO_THREADS="2")
+        out = tmp_path / "ft"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cbo.cli", "preset", "fig-trajectories", "--runs", "200",
+             "--out", str(out)], env=env, stderr=subprocess.PIPE, text=True,
+            start_new_session=True)  # its own process group, which this test is not in
+        children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+        deadline = time.monotonic() + 60
+        workers = []
+        while len(workers) < 2 and time.monotonic() < deadline and proc.poll() is None:
+            time.sleep(0.01)
+            workers = children.read_text().split()
+        time.sleep(0.3)  # the workers are past their start-up
+        (os.killpg if target == "group" else os.kill)(proc.pid, signal.SIGINT)
+        err = proc.communicate(timeout=60)[1]
+        assert len(workers) == 2
+        assert (proc.returncode, err) == (cli.EXIT_INTERRUPTED, "interrupted\n")
+        assert not [pid for pid in workers if Path(f"/proc/{pid}").exists()]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("route", ["run", "fig-variance"])
+    def test_interrupt_in_process_exit_130(self, tmp_path, capsys, monkeypatch, route):
+        # `cbo run` and a preset at one worker are interrupted in this process
+        monkeypatch.setenv("CBO_THREADS", "1")
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(engine, "simulate", interrupted)
+        if route == "run":
+            argv = ["run", write_config(tmp_path, base_config(tmp_path))]
+        else:
+            argv = ["preset", "fig-variance", "--out", str(tmp_path / "fv")]
+        assert cli.main(argv) == cli.EXIT_INTERRUPTED
+        assert capsys.readouterr().err == "interrupted\n"
 
     @pytest.mark.parametrize("threads", ["abc", "0", "-3", "2.5"])
     def test_cbo_threads_not_positive_integer_exit_2(self, tmp_path, capsys, monkeypatch,

@@ -381,6 +381,15 @@ def oracle_records(dist, obj, params, plan):
     return records, run[-1][1]
 
 
+def final_positions(dist, obj, params):
+    """The positions of the last state, stepped by ``engine.states`` from the
+    start ``simulate`` draws."""
+    x0 = engine.sample_initial(dist, params.n_particles, params.dim, params.seed)
+    for _, x, _ in engine.states(x0, obj, params, engine.NoiseSource(params.seed)):
+        pass
+    return x
+
+
 class TestStates:
     P = dict(lam=1.0, sigma=0.5, alpha=1e15, dt=0.01, n_particles=300, dim=1, seed=4)
     DIST = engine.GaussianIsotropic((1.0,), 0.8)
@@ -389,10 +398,10 @@ class TestStates:
     def test_simulate_evaluates_once_per_state(self, stride):
         p = engine.CboParams(steps=10, **self.P)
         calls = []
-        res = engine.simulate(self.DIST, counting(objectives.rastrigin(1), calls), p,
-                              metrics.RecordingPlan(stride=stride))
+        series = engine.simulate(self.DIST, counting(objectives.rastrigin(1), calls), p,
+                                 metrics.RecordingPlan(stride=stride))
         assert len(calls) == p.steps + 1
-        assert len(res.series.records) == p.steps // stride + 1
+        assert len(series.records) == p.steps // stride + 1
 
     @pytest.mark.parametrize("stride", [1, 3])
     def test_records_match_two_pass_loop(self, stride):
@@ -400,9 +409,8 @@ class TestStates:
         p = engine.CboParams(steps=20, **self.P)
         plan = metrics.RecordingPlan(stride=stride, ball_radii=(0.25, 0.5, 1.0))
         want, final = oracle_records(self.DIST, obj, p, plan)
-        res = engine.simulate(self.DIST, obj, p, plan)
-        assert res.series.records == want
-        assert np.array_equal(res.final, final)
+        assert engine.simulate(self.DIST, obj, p, plan).records == want
+        assert np.array_equal(final_positions(self.DIST, obj, p), final)
 
     def test_yields_every_state_once(self):
         p = engine.CboParams(steps=6, **self.P)
@@ -1198,14 +1206,14 @@ class TestSimulate:
     def test_zero_dynamics_keeps_initial(self):
         dist = engine.GaussianIsotropic((2.0,), 1.0)
         p = self.params(lam=0.0, sigma=0.0)
-        res = engine.simulate(dist, quadratic1(), p)
-        assert np.array_equal(res.final, engine.sample_initial(dist, p.n_particles, 1, p.seed))
+        assert np.array_equal(final_positions(dist, quadratic1(), p),
+                              engine.sample_initial(dist, p.n_particles, 1, p.seed))
 
     def test_zero_steps_single_record(self):
         dist = engine.GaussianIsotropic((0.0,), 1.0)
-        res = engine.simulate(dist, quadratic1(), self.params(steps=0))
-        assert len(res.series.records) == 1
-        assert res.series.records[0].t == 0.0
+        series = engine.simulate(dist, quadratic1(), self.params(steps=0))
+        assert len(series.records) == 1
+        assert series.records[0].t == 0.0
 
     def test_deterministic_series(self):
         dist = engine.UniformBox((-1.0,), (2.0,))
@@ -1213,11 +1221,12 @@ class TestSimulate:
         plan = metrics.RecordingPlan(stride=1, ball_radii=(0.5,))
         a = engine.simulate(dist, quadratic1(), p, plan)
         b = engine.simulate(dist, quadratic1(), p, plan)
-        assert a.series.config_digest == b.series.config_digest
-        assert a.series.endpoint_error == b.series.endpoint_error
-        for ra, rb in zip(a.series.records, b.series.records):
+        assert a.config_digest == b.config_digest
+        assert a.endpoint_error == b.endpoint_error
+        for ra, rb in zip(a.records, b.records):
             assert ra == rb
-        assert np.array_equal(a.final, b.final)
+        assert np.array_equal(final_positions(dist, quadratic1(), p),
+                              final_positions(dist, quadratic1(), p))
 
     def test_v_monotone_contraction_sigma0(self):
         # sigma = 0 and argmin-sized alpha: pure contraction toward the best
@@ -1226,25 +1235,24 @@ class TestSimulate:
         dist = engine.GaussianIsotropic((1.0,), 1.0)
         for seed in range(100):
             p = self.params(sigma=0.0, alpha=1e15, steps=50, n_particles=16, seed=seed)
-            res = engine.simulate(dist, obj, p)
-            v = res.series.column("v_func")
+            v = engine.simulate(dist, obj, p).column("v_func")
             assert np.all(np.diff(v) <= 1e-15)
 
     def test_recording_stride(self):
         dist = engine.GaussianIsotropic((0.0,), 1.0)
-        res = engine.simulate(
+        series = engine.simulate(
             dist, quadratic1(), self.params(steps=20),
             metrics.RecordingPlan(stride=5),
         )
         np.testing.assert_allclose(
-            res.series.column("t"), [0.0, 0.05, 0.10, 0.15, 0.20], atol=1e-15
+            series.column("t"), [0.0, 0.05, 0.10, 0.15, 0.20], atol=1e-15
         )
 
     def test_endpoint_error_matches_final_mean(self):
         dist = engine.GaussianIsotropic((1.0,), 0.5)
-        res = engine.simulate(dist, quadratic1(), self.params())
-        gap = res.final.mean(axis=0)  # v* = 0
-        np.testing.assert_allclose(res.series.endpoint_error, float(gap @ gap), rtol=1e-12)
+        series = engine.simulate(dist, quadratic1(), self.params())
+        gap = final_positions(dist, quadratic1(), self.params()).mean(axis=0)  # v* = 0
+        np.testing.assert_allclose(series.endpoint_error, float(gap @ gap), rtol=1e-12)
 
     def test_divergence_attaches_partial_series(self):
         dist = engine.UniformBox((1e149,), (1e150,))

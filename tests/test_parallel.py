@@ -4,6 +4,7 @@ pool, the worker cap, and what importing the CLI loads."""
 import json
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import threading
@@ -34,6 +35,14 @@ class TestThreadMap:
         got = _parallel.thread_map(lambda x: (x + offset, os.getpid()), range(6))
         assert [value for value, _ in got] == list(range(10, 16))
         assert os.getpid() not in {pid for _, pid in got}
+
+    def test_workers_ignore_sigint(self, monkeypatch):
+        # an interrupt is the parent's to handle: a worker, idle or busy, prints
+        # no KeyboardInterrupt traceback of its own
+        monkeypatch.setenv("CBO_THREADS", "2")
+        handlers = _parallel.thread_map(lambda x: signal.getsignal(signal.SIGINT), range(4))
+        assert handlers == [signal.SIG_IGN] * 4
+        assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
 
     def test_one_worker_runs_in_this_process(self, monkeypatch):
         monkeypatch.setenv("CBO_THREADS", "1")

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -156,6 +157,16 @@ class TestMollifier:
         assert np.array_equal(theory.mollifier(v, vstar, 1.0), np.zeros(v.shape[:-1]))
         assert np.array_equal(theory.mollifier_grad(v, vstar, 1.0), np.zeros(v.shape))
         assert np.array_equal(theory.mollifier_laplacian(v, vstar, 1.0), np.zeros(()))
+
+    @pytest.mark.parametrize("fn", [theory.mollifier_grad, theory.mollifier_laplacian])
+    def test_derivatives_take_one_point(self, fn):
+        # (1, dim) gives the values of (dim,); more than one point would sum
+        # ||v - v*||^2 over every row, so it is rejected, naming the shape
+        v, vstar = np.array([0.1, 0.0]), np.zeros(2)
+        assert np.array_equal(np.ravel(fn(v[None], vstar, 1.0)), np.ravel(fn(v, vstar, 1.0)))
+        for bad in (np.array([[0.1, 0.0], [0.2, 0.0]]), np.array(0.1), np.zeros((1, 1, 2))):
+            with pytest.raises(InvalidInputError, match=rf"got shape {re.escape(str(bad.shape))}"):
+                fn(bad, vstar, 1.0)
 
     def test_finite_radius_square_unchanged(self):
         # just below the overflow, phi_r is still exp(1 - r^2 / (r^2 - s))
