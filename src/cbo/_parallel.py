@@ -5,10 +5,10 @@ The function and the items sit in a module global that every forked
 worker inherits, so closures are never pickled: a worker gets an item's
 index and sends back its result or its error by pickle.  Workers ignore
 SIGINT, so an interrupt is the parent's alone: it cancels the items not yet
-started and waits for the running ones.  The pool module is imported
-inside the map, so a route that maps nothing never loads it.
-``thread_map`` keeps the name of the thread pool it replaced, which the
-bench tracer looks up.
+started and waits for the running ones, ignoring a further interrupt while
+it waits.  The pool module is imported inside the map, so a route that
+maps nothing never loads it.  ``thread_map`` keeps the name of the thread
+pool it replaced, which the bench tracer looks up.
 """
 
 from __future__ import annotations
@@ -48,9 +48,10 @@ def thread_map(fn, items):
     on the way out.  A worker that dies raises ``WorkerLostError`` with the
     items from the first result that did not come back.  Workers ignore
     SIGINT: an interrupt reaches the caller as ``KeyboardInterrupt`` once
-    the running items finish.  With one worker the map runs in this
-    process, and so does a map called in a worker, which never forks a pool
-    of its own, or in a second thread while a pool runs."""
+    the running items finish, and a second one while they do is ignored.
+    With one worker the map runs in this process, and so does a map called
+    in a worker, which never forks a pool of its own, or in a second thread
+    while a pool runs."""
     global _task
     items = list(items)
     workers = min(len(items), worker_cap())
@@ -73,6 +74,16 @@ def thread_map(fn, items):
                 lost = items[len(results):]
                 raise WorkerLostError(f"a worker process died before returning {len(lost)} "
                                       f"of {len(items)} results", lost) from None
+            except KeyboardInterrupt:
+                # a second interrupt would cut this wait short, and the
+                # pool's shutdown would then never reach the workers, a
+                # hang for good: ignore it while the running items finish
+                handler = signal.signal(signal.SIGINT, signal.SIG_IGN)
+                try:
+                    pool.shutdown(cancel_futures=True)
+                finally:
+                    signal.signal(signal.SIGINT, handler)
+                raise
         return results
     finally:
         _task = None

@@ -333,30 +333,28 @@ def _nonfinite_energy(e, step, seeds):
     )
 
 
-def _eval_rows(fn, rows, e, s):
-    """``fn`` of ``rows`` (the objective's ``eval`` or ``floor``) into
-    ``e[..., s]``: its minimum per replication, or None if one of its values
-    is not finite."""
+def _eval_rows(fn, x, e, blocks):
+    """``fn`` (the objective's ``eval`` or ``floor``) of the positions ``x``
+    into ``e``, one row block of ``blocks`` at a time: whether every value
+    is finite.  Every block is evaluated, so that an error names the first
+    bad row."""
+    finite = True
     # overflow to inf is caught by the caller's finiteness guard
     with np.errstate(over="ignore", invalid="ignore"):
-        eb = np.asarray(fn(rows), dtype=float)
-    e[..., s] = eb
-    return eb.min(axis=-1, keepdims=True) if np.isfinite(eb).all() else None
+        for s in blocks:
+            eb = np.asarray(fn(x[..., s, :]), dtype=float)
+            e[..., s] = eb
+            finite = finite and bool(np.isfinite(eb).all())
+    return finite
 
 
 def _energies(obj, x, e, step, seeds, blocks):
     """Energies of the positions ``x`` into ``e``, evaluated one row block
     of ``blocks`` at a time, and their minimum per replication, (1,) or
     (R, 1)."""
-    emin, finite = np.inf, True
-    for s in blocks:  # every block, so that an error names the first bad row
-        m = _eval_rows(obj.eval, x[..., s, :], e, s)
-        finite = finite and m is not None
-        if finite:
-            emin = np.minimum(emin, m)
-    if not finite:
+    if not _eval_rows(obj.eval, x, e, blocks):
         raise _nonfinite_energy(e, step, seeds)
-    return emin
+    return e.min(axis=-1, keepdims=True)
 
 
 def _screened_energies(obj, x, e, alpha, step, seeds, blocks):
@@ -372,9 +370,7 @@ def _screened_energies(obj, x, e, alpha, step, seeds, blocks):
     with -alpha (floor - u) <= _EXP_ZERO_BELOW has E >= floor > u >= E_min:
     it is not the minimum, and ``_weights`` turns its floor, like its
     energy, into exactly +0.0.  Each row is evaluated at most once."""
-    # every block's floor before the test, like every block's energy: a
-    # sum, unlike any(), reads every block, and keeps none of their minima
-    if sum(_eval_rows(obj.floor, x[..., s, :], e, s) is None for s in blocks):
+    if not _eval_rows(obj.floor, x, e, blocks):
         return None
     n, d = x.shape[-2:]
     xf, ef = x.reshape(-1, d), e.reshape(-1)  # views of the engine's workspace
@@ -507,6 +503,26 @@ def consensus_point(x, energies, alpha):
     return _weighted_consensus(x, energies, emin, float(alpha))[0]
 
 
+# |a| is sqrt(fl(a * a)) bit for bit wherever a * a is a normal float: for
+# _NORM_LO <= |a| < _NORM_HI, the square root of the smallest normal float
+# and the smallest |a| whose square overflows
+_NORM_LO = 2.0 ** -511
+_NORM_HI = 2.0 ** 512
+
+
+def _norms(diff):
+    """||diff_i|| of each row of a block's differences (..., rows, dim):
+    ``np.sqrt`` of the row sums of squares, or at dim = 1, where every
+    |diff_i| lies in [_NORM_LO, _NORM_HI), |diff_i| itself, the same bits
+    for one pass in place of two.  A block with a zero, a gap whose square
+    underflows or overflows, inf or NaN takes the square root."""
+    if diff.shape[-1] == 1:
+        dist = np.abs(diff[..., 0])
+        if _NORM_LO <= dist.min() and dist.max() < _NORM_HI:
+            return dist
+    return np.sqrt(_row_sums(diff * diff))
+
+
 def _step(x, params, c, e, e_c, noise, step, blocks):
     """Step the positions ``x`` of state ``step``, in place, to those of
     state ``step + 1``, with the state's consensus point ``c`` ((dim,), or
@@ -517,28 +533,29 @@ def _step(x, params, c, e, e_c, noise, step, blocks):
     The update runs one row block of ``blocks`` at a time, and draws each
     block's increments from ``noise`` just before it reads them.  Every row
     is computed as a whole-array step would compute it, so the result does
-    not depend on the block size; errors name the first failing particle of
-    the whole array.
+    not depend on the block size.  Each row's ||x - c|| is the rounded
+    square root of its rounded sum of squares, taken at d = 1 as |x - c|
+    where that gives the same bits (``_norms``).  Errors name the first
+    failing particle of the whole array.
     """
     c = c[..., None, :]  # broadcasts over the particle axis
     diverged = False
-    for s in blocks:
-        xb = x[..., s, :]
-        # x - dt lam H (x - c) + (sigma |x - c|) inc, with one buffer for
-        # x - c, then the drift, then the noise term
-        diff = xb - c
-        # overflow to non-finite coordinates is caught by the divergence guard
-        with np.errstate(over="ignore", invalid="ignore"):
-            dist = np.sqrt(_row_sums(diff * diff))
+    # overflow to non-finite coordinates is caught by the divergence guard
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in blocks:
+            xb = x[..., s, :]
+            # x - dt lam H (x - c) + (sigma |x - c|) inc, with one buffer for
+            # x - c, then the drift, then the noise term
+            diff = xb - c
+            dist = _norms(diff)
             diff *= params.dt * params.lam
-        if e_c is not None:
-            diff *= h_eval(params.h_variant, e[..., s] - e_c)[..., None]
-        with np.errstate(over="ignore", invalid="ignore"):
+            if e_c is not None:
+                diff *= h_eval(params.h_variant, e[..., s] - e_c)[..., None]
             np.subtract(xb, diff, out=xb)
             dist *= params.sigma
             inc = noise.increments(step, s, x.shape[-1], params.dt)
             xb += np.multiply(dist[..., None], inc, out=diff)
-        diverged |= not np.isfinite(xb).all()
+            diverged |= not np.isfinite(xb).all()
     if diverged:
         i, seed, rep = _locate(~np.isfinite(x).all(axis=-1), noise.seeds)
         raise DivergenceError(

@@ -73,9 +73,11 @@ class RecordingPlan:
     def __post_init__(self):
         if self.stride < 1:
             raise InvalidInputError(f"stride must be >= 1, got {self.stride}")
-        for r in self.ball_radii:
+        for i, r in enumerate(self.ball_radii):
             if not r > 0:
                 raise InvalidInputError(f"ball radius must be positive, got {r}")
+            if r in self.ball_radii[:i]:
+                raise InvalidInputError(f"ball radius {r} is repeated")
 
 
 @dataclass(frozen=True)
@@ -149,36 +151,76 @@ def moment4_stat(x, y=None):
     return float(m) if m.ndim == 0 else m
 
 
+def _sq_dist_rows(x, p, out):
+    """||x_i - p||^2 of each row of the positions ``x`` into ``out``, one
+    value per row: at dim = 1 the difference and its square go through
+    ``out`` itself, with no temporary."""
+    if x.shape[-1] == 1:
+        np.subtract(x[..., 0], p[..., 0], out=out)
+        return np.multiply(out, out, out=out)
+    out[...] = _sq_rows(x - p)
+    return out
+
+
+def _ball_bound(r):
+    """The largest float b with sqrt(b) <= r as rounded, for r in (0, inf]:
+    for s >= +0.0, NaN or inf, ``s <= _ball_bound(r)`` is ``np.sqrt(s) <= r``,
+    ties included, since a rounded sqrt never decreases.  r * r is within a
+    few steps of it (0.0625 for r = 0.25, whose bound is the next float up),
+    or inf where it overflows, whose bound is the float maximum."""
+    b = r * r
+    while math.sqrt(b) > r:
+        b = math.nextafter(b, 0.0)
+    while (up := math.nextafter(b, math.inf)) != b and math.sqrt(up) <= r:
+        b = up
+    return b
+
+
 def snapshot(t, x, vstar, consensus, ball_radii):
     """MetricsRecord of the positions ``x`` at time ``t`` with consensus
     point ``consensus``: V = (1/(2n)) sum_i ||V^i - v*||^2, the halved
     variance (1/(2n)) sum_i ||V^i - mean||^2, the fraction of particles in
     the closed ball around v* of each radius in ``ball_radii``, W2 and
-    ``moment4_stat``.  ``x - v*`` and its row sums of squares are computed
-    once for V and every ball mass; without a minimizer (``vstar`` None) the
-    fields tied to it are NaN and there are no ball masses.
+    ``moment4_stat``.  Without a minimizer (``vstar`` None) the fields tied
+    to it are NaN and there are no ball masses.
 
-    Every per-particle quantity is computed over row blocks into an (n,)
-    array, so a record allocates no temporary of the positions' size."""
+    One array of a value per particle serves every functional in turn,
+    filled one row block at a time.  It holds each row's squared distance
+    s to v*, which gives V and every ball mass in one pass: a row lies in
+    the ball of radius r where s <= ``_ball_bound(r)``, bitwise the test
+    sqrt(s) <= r.  Where v* is all +-0.0, x - v* squares to x * x bit for
+    bit, so squaring that array in place gives the moment4 terms.  Then it
+    holds the squared distances to the mean.  Each mean is one reduction of
+    the whole array, so a record allocates no temporary of the positions'
+    size."""
+    n = len(x)
+    rows = np.empty(n)
+    blocks = row_blocks(x.shape)
     v = cdist = math.nan
+    m4 = None
     masses = {}
     if vstar is not None:
-        inside = dict.fromkeys(map(float, ball_radii), 0)
-
-        def sq_rows(s):
-            sq = _row_sums(np.square(x[s] - vstar))
-            dist = np.sqrt(sq)  # bitwise np.linalg.norm(x - vstar, axis=1): ties with r stay put
-            for r in inside:
-                inside[r] += int(np.count_nonzero(dist <= r))
-            return sq
-
-        v = 0.5 * float(np.mean(_per_row(sq_rows, x.shape)))
+        bounds = {float(r): _ball_bound(float(r)) for r in ball_radii}
+        inside = dict.fromkeys(bounds, 0)
+        for s in blocks:
+            sq = _sq_dist_rows(x[s], vstar, rows[s])
+            for r, b in bounds.items():
+                inside[r] += int(np.count_nonzero(sq <= b))
+        # sum / n is np.mean's own arithmetic, bit for bit, and count / n
+        # is np.mean of the 0/1 mask, both exact
+        v = 0.5 * float(rows.sum() / n)
         cdist = float(np.linalg.norm(consensus - vstar))
-        # count / n is np.mean of the 0/1 mask, bitwise: both are exact
-        masses = {r: count / len(x) for r, count in inside.items()}
+        masses = {r: count / n for r, count in inside.items()}
+        if not np.any(vstar):
+            with np.errstate(over="ignore"):  # as in moment4_stat
+                m4 = float(np.square(rows, out=rows).sum() / n)
     m = x.mean(axis=0)
-    var = 0.5 * float(np.mean(_per_row(lambda s: _sq_rows(x[s] - m), x.shape)))
-    return MetricsRecord(t, v, var, 2.0 * v, cdist, masses, moment4_stat(x))
+    for s in blocks:
+        _sq_dist_rows(x[s], m, rows[s])
+    var = 0.5 * float(rows.sum() / n)
+    del rows  # moment4_stat makes its own
+    return MetricsRecord(t, v, var, 2.0 * v, cdist, masses,
+                         moment4_stat(x) if m4 is None else m4)
 
 
 def lsq_slope(x, y):

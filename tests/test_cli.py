@@ -141,6 +141,9 @@ class TestConfigErrors:
         ("run", ("params", "seed"), -1, "config error: params: seed must be"),
         ("run", ("params", "h"), {"kind": "ramp_heaviside", "delta": 0}, "params.h: ramp delta"),
         ("run", ("recording", "stride"), 0, "config error: recording: stride must be >= 1"),
+        # a repeated radius would write two columns of one name
+        ("run", ("recording", "ball_radii"), [0.5, 0.5, 1.0],
+         "config error: recording: ball radius 0.5 is repeated"),
         ("run", ("init", "variance"), -1, "config error: init: variance must be positive"),
         ("run", ("init",), {"kind": "uniform", "lo": [1.0], "hi": [1.0]}, "init: degenerate"),
         # a box whose width overflows, which the sample would turn into NaN
@@ -636,14 +639,16 @@ class TestPresets:
         assert "3, 4\n" in proc.stderr and "Traceback" not in proc.stderr
         assert not (tmp_path / "ft").exists()
 
-    @pytest.mark.parametrize("target", ["group", "parent"])
-    def test_interrupt_exit_130_leaves_no_worker(self, tmp_path, target):
-        # SIGINT to the process group (Ctrl-C) or to the parent alone, while
-        # the fan-out runs: one stderr line, exit 130, and no worker left
+    @staticmethod
+    def interrupt(tmp_path, target, flags, signals):
+        """Run fig-trajectories at two workers with ``flags``, and send
+        ``signals`` SIGINTs 0.1 s apart to its process group or to the
+        parent alone once both workers run: one stderr line, exit 130, and
+        no worker left."""
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), CBO_THREADS="2")
         out = tmp_path / "ft"
         proc = subprocess.Popen(
-            [sys.executable, "-m", "cbo.cli", "preset", "fig-trajectories", "--runs", "200",
+            [sys.executable, "-m", "cbo.cli", "preset", "fig-trajectories", *flags,
              "--out", str(out)], env=env, stderr=subprocess.PIPE, text=True,
             start_new_session=True)  # its own process group, which this test is not in
         children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
@@ -653,12 +658,32 @@ class TestPresets:
             time.sleep(0.01)
             workers = children.read_text().split()
         time.sleep(0.3)  # the workers are past their start-up
-        (os.killpg if target == "group" else os.kill)(proc.pid, signal.SIGINT)
-        err = proc.communicate(timeout=60)[1]
+        for i in range(signals):
+            if i:
+                time.sleep(0.1)
+            (os.killpg if target == "group" else os.kill)(proc.pid, signal.SIGINT)
+        try:
+            err = proc.communicate(timeout=60)[1]
+        finally:  # a hung run leaves no process behind
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
         assert len(workers) == 2
         assert (proc.returncode, err) == (cli.EXIT_INTERRUPTED, "interrupted\n")
         assert not [pid for pid in workers if Path(f"/proc/{pid}").exists()]
         assert not out.exists()
+
+    @pytest.mark.parametrize("target", ["group", "parent"])
+    def test_interrupt_exit_130_leaves_no_worker(self, tmp_path, target):
+        # SIGINT to the process group (Ctrl-C) or to the parent alone, while
+        # the fan-out runs
+        self.interrupt(tmp_path, target, ["--runs", "200"], 1)
+
+    @pytest.mark.parametrize("target", ["group", "parent"])
+    def test_second_interrupt_exit_130_leaves_no_worker(self, tmp_path, target):
+        # a second SIGINT while the running items finish (runs of 16000
+        # particles, long enough for it to land in that wait) is ignored:
+        # the exit does not hang
+        self.interrupt(tmp_path, target, ["--runs", "200", "--n", "16000"], 2)
 
     @pytest.mark.parametrize("route", ["run", "fig-variance"])
     def test_interrupt_in_process_exit_130(self, tmp_path, capsys, monkeypatch, route):

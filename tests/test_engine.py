@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import tracemalloc
 import weakref
 
@@ -598,6 +599,60 @@ def nan_on_row(obj, marker, from_eval):
     return dataclasses.replace(obj, eval=eval_, floor=None)
 
 
+# gaps |x - c| at and around the ends of the range where the step's norm
+# at d = 1 is |x - c| (the square is a normal float), and past them
+NORM_GAPS = [0.0, 5e-324, 1e-160, math.nextafter(2.0**-511, 0.0), 2.0**-511,
+             math.nextafter(2.0**512, 0.0), 2.0**512, math.inf, math.nan]
+
+
+class TestStepNorm:
+    """At d = 1 the step takes ||x - c|| as |x - c| for a block whose every
+    gap squares to a normal float, and as sqrt((x - c)^2) otherwise: the
+    same bits as the oracle's square root either way."""
+
+    def test_range_constants(self):
+        # the square root of the least normal float, and the least gap
+        # whose square overflows
+        assert engine._NORM_LO == math.sqrt(sys.float_info.min)
+        assert engine._NORM_LO * engine._NORM_LO == sys.float_info.min
+        assert engine._NORM_HI == 2.0 ** (sys.float_info.max_exp // 2)
+        below = math.nextafter(engine._NORM_HI, 0.0)
+        assert below * below <= sys.float_info.max
+        assert engine._NORM_HI * engine._NORM_HI == math.inf
+
+    @pytest.mark.parametrize("planted", [[g] for g in NORM_GAPS] + [NORM_GAPS],
+                             ids=[repr(g) for g in NORM_GAPS] + ["all"])
+    def test_planted_gaps_equal_oracle(self, planted):
+        # one block of 64 rows about a consensus pinned at 0, the planted
+        # gaps with both signs among ordinary ones: every state bitwise the
+        # oracle's, and a divergence at the oracle's first non-finite state
+        # and particle
+        n = 64
+        x0 = np.random.default_rng(27).normal(0.0, 1.0, (n, 1))
+        x0[20:20 + len(planted), 0] = planted
+        x0[40:40 + len(planted), 0] = np.negative(planted)
+        p = engine.CboParams(lam=1.0, sigma=0.5, alpha=1.0, dt=0.01, steps=3,
+                             n_particles=n, dim=1, seed=27)
+        consensus = np.zeros((p.steps + 1, 1))
+        obj = objectives.rastrigin(1)  # never evaluated: H = 1, pinned consensus
+        with np.errstate(all="ignore"):
+            want = oracle.states(x0, obj, p, engine.NoiseSource(p.seed), consensus)
+        bad = [k for k, x, _, _ in want[1:] if not np.isfinite(x).all()]  # after a step
+        got = engine.states(x0, obj, p, engine.NoiseSource(p.seed), consensus=consensus)
+
+        def compare():
+            for (k, x, _), (_, xw, _, _) in zip(got, want, strict=True):
+                assert np.array_equal(bits(x), bits(xw)), k
+
+        if not bad:
+            compare()
+            return
+        with pytest.raises(DivergenceError) as err:
+            compare()
+        particle = int(np.argmax(~np.isfinite(want[bad[0]][1]).all(axis=-1)))
+        assert (err.value.step, err.value.particle) == (bad[0] - 1, particle)
+
+
 class TestBlocks:
     """The step runs over blocks of about ``metrics.BLOCK_ROWS`` rows
     (particles times replications); results must not depend on where
@@ -1093,12 +1148,17 @@ class TestFuzzAgainstOracle:
     def test_snapshot_equals_oracle_record(self, data):
         # every field of a record, ball masses included, equals the oracle's
         # whole-array formulas for any shape and block size; one radius may
-        # equal a particle's distance, a tie that must count as inside
+        # equal a particle's distance, a tie that must count as inside.  In
+        # half the examples v* is +-0.0 in each coordinate, where moment4
+        # comes from the squared distances to v*
         draw = data.draw
         d, n = draw(st.integers(1, 10)), draw(st.integers(1, 200))
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         x = rng.normal(1.0, 10.0 ** draw(st.floats(-1, 1)), (n, d))
         vstar, c = rng.normal(0.0, 1.0, d), rng.normal(0.0, 1.0, d)
+        if draw(st.booleans()):
+            vstar = np.array(draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=d,
+                                           max_size=d)))
         radii = draw(st.lists(st.floats(0.01, 20.0), max_size=3))
         if draw(st.booleans()):
             radii.append(float(np.linalg.norm(x[draw(st.integers(0, n - 1))] - vstar)))

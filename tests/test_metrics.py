@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import oracle
@@ -108,6 +109,42 @@ class TestBallMass:
     def test_requires_positive_radius(self):
         with pytest.raises(InvalidInputError):
             metrics.RecordingPlan(ball_radii=(0.0,))
+
+    def test_rejects_repeated_radius(self):
+        # two radii of one value would make two columns of one name
+        with pytest.raises(InvalidInputError, match="ball radius 0.5 is repeated"):
+            metrics.RecordingPlan(ball_radii=(0.5, 1.0, 0.5))
+
+
+class TestBallBound:
+    """``s <= _ball_bound(r)`` is ``np.sqrt(s) <= r``, ties included."""
+
+    @staticmethod
+    def check(radii):
+        # at the bound, one float up and one float down: sqrt(s) <= r must
+        # read the same as s <= bound, for every kind of radius
+        r = np.asarray(radii, dtype=float)
+        b = np.array([metrics._ball_bound(float(v)) for v in r])
+        with np.errstate(over="ignore", under="ignore"):  # past max, below 5e-324
+            steps = (np.nextafter(b, 0.0), b, np.nextafter(b, math.inf))
+        for s in steps:
+            assert np.array_equal(np.sqrt(s) <= r, s <= b)
+        return b
+
+    def test_edge_radii(self):
+        # the least subnormal, a radius whose square is subnormal, one whose
+        # square is not its bound, radii whose square overflows, inf
+        radii = [5e-324, 1e-160, 0.25, 1.4e154, 1e300, sys.float_info.max, math.inf]
+        b = self.check(radii)
+        assert b[0] == 0.0 and b[-1] == math.inf
+        assert metrics._ball_bound(0.25) == math.nextafter(0.25 * 0.25, 1.0)
+        assert list(b[3:6]) == [sys.float_info.max] * 3
+
+    def test_random_radii(self):
+        # 10^5 radii spread over the whole positive float range
+        rng = np.random.default_rng(27)
+        radii = np.exp2(rng.uniform(-1074.0, 1024.0, 10**5))
+        self.check(radii[radii > 0])
 
 
 class TestSnapshot:
